@@ -327,8 +327,8 @@ func runOne(cfg Config, recs []trace.Record, cond Condition, v Variant) (*ssd.St
 	if err != nil {
 		return nil, err
 	}
-	// Replay a copy: the device mutates nothing, but keep the contract
-	// explicit for future readers.
+	// Run only reads recs, so every variant of a cell replays the same
+	// shared trace.
 	return dev.Run(recs)
 }
 

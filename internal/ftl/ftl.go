@@ -94,18 +94,6 @@ type plane struct {
 	freeCount int
 }
 
-// pageTable is the LPN → PPN map. Logical page numbers are dense (workloads
-// address a contiguous footprint), so the table is a flat slice of packed
-// PPNs indexed by LPN rather than a hash map: lookups are a bounds check and
-// a shift, inserts never rehash, and a preconditioned experiment-scale
-// device costs ~8 bytes per page instead of a multi-hundred-megabyte map
-// churn (map fill and rehash used to dominate ssd.New, ~60 % of a sweep
-// cell's total CPU).
-type pageTable struct {
-	entries []uint64 // packed PPN | ppnValidBit; zero means unmapped
-	count   int
-}
-
 func packPPN(p PPN) uint64 {
 	return ppnValidBit |
 		uint64(p.Die)<<(ppnPageBits+ppnBlockBits+ppnPlaneBits) |
@@ -123,56 +111,26 @@ func unpackPPN(e uint64) PPN {
 	}
 }
 
-func (t *pageTable) get(lpn int64) (PPN, bool) {
-	if lpn < 0 || lpn >= int64(len(t.entries)) {
-		return InvalidPPN, false
-	}
-	e := t.entries[lpn]
-	if e&ppnValidBit == 0 {
-		return InvalidPPN, false
-	}
-	return unpackPPN(e), true
-}
-
-func (t *pageTable) set(lpn int64, p PPN) {
-	if lpn < 0 {
-		panic(fmt.Sprintf("ftl: negative LPN %d", lpn))
-	}
-	if lpn >= int64(len(t.entries)) {
-		grown := make([]uint64, growTo(lpn+1, int64(len(t.entries))))
-		copy(grown, t.entries)
-		t.entries = grown
-	}
-	if t.entries[lpn]&ppnValidBit == 0 {
-		t.count++
-	}
-	t.entries[lpn] = packPPN(p)
-}
-
-// growTo sizes the table for at least need entries, doubling the current
-// capacity so sequential fills stay amortized O(1).
-func growTo(need, cur int64) int64 {
-	next := cur * 2
-	if next < 1024 {
-		next = 1024
-	}
-	if next < need {
-		next = need
-	}
-	return next
-}
-
 // FTL is the translation layer state.
 type FTL struct {
-	cfg    Config
-	table  pageTable     // LPN → PPN
+	cfg Config
+	// table is the LPN → PPN map: packed PPN | ppnValidBit, zero meaning
+	// not placed. LPNs are dense (workloads address a contiguous
+	// footprint), so a flat slice indexed by LPN makes a lookup a bounds
+	// check and a shift. It stores only pages placed explicitly (writes,
+	// GC relocations, lazy preconditioning), not the implicit prefix of
+	// PreconditionPrefix, and is allocated at maxLPN entries on the first
+	// such placement.
+	table  []uint64
 	blocks [][]blockMeta // [globalPlane][block]
 	planes []plane
 	// maxLPN bounds the logical address space to the device's physical page
-	// count: the slice-backed table is sized by the largest LPN seen, so an
-	// out-of-range LPN must be rejected up front rather than allocating an
-	// arbitrarily large table.
+	// count, which is also the table's length.
 	maxLPN int64
+	// pre is the implicit cold prefix: an LPN below it with no table entry
+	// still lives at coldPPN(lpn), where PreconditionPrefix placed it.
+	pre    int64
+	mapped int
 
 	hostWrites int64
 	gcWrites   int64
@@ -211,6 +169,12 @@ func (f *FTL) Config() Config { return f.cfg }
 // planeIndex flattens (die, plane).
 func (f *FTL) planeIndex(die, pl int) int { return die*f.cfg.PlanesPerDie + pl }
 
+// firstLPN is the lowest LPN striped to plane pi; the plane's others
+// follow at a stride of Dies × PlanesPerDie.
+func (f *FTL) firstLPN(pi int) int64 {
+	return int64(pi/f.cfg.PlanesPerDie + pi%f.cfg.PlanesPerDie*f.cfg.Dies)
+}
+
 // StripeOf returns the (die, plane) a logical page is statically allocated
 // to: LPNs stripe channel-first across dies, then across planes, the CWDP
 // allocation MQSim models.
@@ -222,11 +186,30 @@ func (f *FTL) StripeOf(lpn int64) (die, pl int) {
 
 // Lookup returns the physical location of a logical page.
 func (f *FTL) Lookup(lpn int64) (PPN, bool) {
-	return f.table.get(lpn)
+	if lpn < 0 || lpn >= f.maxLPN {
+		return InvalidPPN, false
+	}
+	if f.table != nil {
+		if e := f.table[lpn]; e&ppnValidBit != 0 {
+			return unpackPPN(e), true
+		}
+	}
+	if lpn < f.pre {
+		return f.coldPPN(lpn), true
+	}
+	return InvalidPPN, false
+}
+
+// set records an explicit mapping. The caller has range-checked lpn.
+func (f *FTL) set(lpn int64, p PPN) {
+	if f.table == nil {
+		f.table = make([]uint64, f.maxLPN)
+	}
+	f.table[lpn] = packPPN(p)
 }
 
 // Mapped returns the number of mapped logical pages.
-func (f *FTL) Mapped() int { return f.table.count }
+func (f *FTL) Mapped() int { return f.mapped }
 
 // FreeBlocks returns the free-block count of a plane.
 func (f *FTL) FreeBlocks(die, pl int) int { return f.planes[f.planeIndex(die, pl)].freeCount }
@@ -265,7 +248,7 @@ func (f *FTL) Precondition(lpn int64) (PPN, error) {
 	if lpn < 0 || lpn >= f.maxLPN {
 		return InvalidPPN, fmt.Errorf("ftl: LPN %d outside logical space [0, %d)", lpn, f.maxLPN)
 	}
-	if _, ok := f.table.get(lpn); ok {
+	if _, ok := f.Lookup(lpn); ok {
 		return InvalidPPN, fmt.Errorf("ftl: LPN %d already mapped", lpn)
 	}
 	die, pl := f.StripeOf(lpn)
@@ -274,8 +257,90 @@ func (f *FTL) Precondition(lpn int64) (PPN, error) {
 	if err != nil {
 		return InvalidPPN, err
 	}
-	f.table.set(lpn, ppn)
+	f.set(lpn, ppn)
+	f.mapped++
 	return ppn, nil
+}
+
+// PreconditionPrefix maps LPNs [0, n) as cold data in O(blocks), leaving
+// exactly the state n sequential Precondition calls on a fresh FTL leave.
+// Each plane receives its LPNs in order and pops free blocks 0, 1, 2, … in
+// order, so LPN → PPN is the closed form coldPPN and the mappings are kept
+// implicit: Lookup computes them, and a cold block's reverse map is built
+// the first time appendTo, invalidate or Victim touches the block. The
+// FTL must not have mapped anything yet.
+func (f *FTL) PreconditionPrefix(n int64) error {
+	if f.mapped != 0 {
+		return fmt.Errorf("ftl: prefix preconditioning needs a fresh FTL, %d LPNs already mapped", f.mapped)
+	}
+	if n < 0 || n > f.maxLPN {
+		// Each plane holds exactly maxLPN / planes pages, so a prefix past
+		// maxLPN overruns the first plane's free blocks.
+		return fmt.Errorf("ftl: prefix of %d LPNs outside logical space [0, %d]", n, f.maxLPN)
+	}
+	stride := int64(f.cfg.Dies * f.cfg.PlanesPerDie)
+	ppb := int64(f.cfg.PagesPerBlock)
+	for pi := range f.planes {
+		var count int64 // the plane's LPNs below n
+		if first := f.firstLPN(pi); n > first {
+			count = (n - first + stride - 1) / stride
+		}
+		used := int((count + ppb - 1) / ppb)
+		if used == 0 {
+			continue
+		}
+		blocks := f.blocks[pi]
+		for b := 0; b < used; b++ {
+			blocks[b] = blockMeta{state: blockClosed, writePtr: f.cfg.PagesPerBlock,
+				valid: f.cfg.PagesPerBlock, cold: true}
+		}
+		// The last block stays open even when full: the per-page walk only
+		// closes a block on the next append.
+		last := &blocks[used-1]
+		last.state = blockOpen
+		last.writePtr = int(count - int64(used-1)*ppb)
+		last.valid = last.writePtr
+		pl := &f.planes[pi]
+		pl.coldOpen = used - 1
+		// (erases, seq) keys are unique, so pop order does not depend on
+		// the heap's layout.
+		pl.free = pl.free[:0]
+		for b := used; b < f.cfg.BlocksPerPlane; b++ {
+			pl.free = append(pl.free, freeBlock{block: b, seq: b})
+		}
+		heap.Init(&pl.free)
+		pl.freeCount = len(pl.free)
+	}
+	f.pre = n
+	f.mapped = int(n)
+	return nil
+}
+
+// coldPPN is where PreconditionPrefix placed lpn: the k-th LPN of its
+// stripe's plane lands on page k of the plane's sequentially filled blocks.
+func (f *FTL) coldPPN(lpn int64) PPN {
+	die, pl := f.StripeOf(lpn)
+	k := lpn / int64(f.cfg.Dies*f.cfg.PlanesPerDie)
+	ppb := int64(f.cfg.PagesPerBlock)
+	return PPN{Die: die, Plane: pl, Block: int(k / ppb), Page: int(k % ppb)}
+}
+
+// blockLPNs returns the reverse map of a non-free block, first building it
+// from the inverse of coldPPN for a block PreconditionPrefix filled
+// implicitly (copy-on-write per block). Until then nothing has touched the
+// block, so every written page still holds its prefix LPN.
+func (f *FTL) blockLPNs(pi, b int) []int64 {
+	meta := &f.blocks[pi][b]
+	if meta.lpns == nil {
+		meta.lpns = makeLPNs(f.cfg.PagesPerBlock)
+		stride := int64(f.cfg.Dies * f.cfg.PlanesPerDie)
+		lpn := f.firstLPN(pi) + stride*int64(b)*int64(f.cfg.PagesPerBlock)
+		for pg := 0; pg < meta.writePtr; pg++ {
+			meta.lpns[pg] = lpn
+			lpn += stride
+		}
+	}
+	return meta.lpns
 }
 
 // AllocateWrite maps a logical page to a fresh physical page for a host or
@@ -287,17 +352,18 @@ func (f *FTL) AllocateWrite(lpn int64, gc bool) (PPN, PPN, error) {
 	}
 	die, pl := f.StripeOf(lpn)
 	pi := f.planeIndex(die, pl)
-	old, had := f.table.get(lpn)
+	old, had := f.Lookup(lpn)
 	if had {
 		f.invalidate(old)
-	} else {
-		old = InvalidPPN
 	}
 	ppn, err := f.appendTo(pi, &f.planes[pi].active, die, pl, lpn, false)
 	if err != nil {
 		return InvalidPPN, InvalidPPN, err
 	}
-	f.table.set(lpn, ppn)
+	f.set(lpn, ppn)
+	if !had {
+		f.mapped++
+	}
 	if gc {
 		f.gcWrites++
 	} else {
@@ -322,9 +388,9 @@ func (f *FTL) appendTo(pi int, slot *int, die, pl int, lpn int64, cold bool) (PP
 	}
 	meta := &f.blocks[pi][*slot]
 	page := meta.writePtr
+	f.blockLPNs(pi, *slot)[page] = lpn
 	meta.writePtr++
 	meta.valid++
-	meta.lpns[page] = lpn
 	return PPN{Die: die, Plane: pl, Block: *slot, Page: page}, nil
 }
 
@@ -332,10 +398,14 @@ func (f *FTL) appendTo(pi int, slot *int, die, pl int, lpn int64, cold bool) (PP
 func (f *FTL) invalidate(p PPN) {
 	pi := f.planeIndex(p.Die, p.Plane)
 	meta := &f.blocks[pi][p.Block]
-	if meta.lpns == nil || meta.lpns[p.Page] < 0 {
+	if meta.state == blockFree {
 		return
 	}
-	meta.lpns[p.Page] = -1
+	lpns := f.blockLPNs(pi, p.Block)
+	if lpns[p.Page] < 0 {
+		return
+	}
+	lpns[p.Page] = -1
 	meta.valid--
 	meta.cold = false // an invalidated block joins the GC candidate pool
 }
@@ -370,7 +440,7 @@ func (f *FTL) Victim(die, pl int) (int, []int64, bool) {
 	meta := &f.blocks[pi][best]
 	meta.collected = true
 	var lpns []int64
-	for _, lpn := range meta.lpns {
+	for _, lpn := range f.blockLPNs(pi, best) {
 		if lpn >= 0 {
 			lpns = append(lpns, lpn)
 		}

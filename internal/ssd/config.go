@@ -58,7 +58,9 @@ type Config struct {
 	// cold data before the run, filling the device to a realistic
 	// utilization so that write streams exercise garbage collection (the
 	// standard SSD-evaluation preconditioning step). Preconditioned pages
-	// carry the configured (PEC, RetentionMonths) state.
+	// carry the configured (PEC, RetentionMonths) state. The prefix costs
+	// O(blocks) to set up: the FTL keeps its closed-form layout implicit
+	// (ftl.PreconditionPrefix) and stores only pages moved during the run.
 	PreconditionPages int64
 
 	// GCThresholdBlocks triggers collection when a plane's free pool drops

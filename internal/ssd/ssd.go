@@ -114,11 +114,9 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.UseRetryHistory {
 		s.history = make([]int32, totalBlocks)
 	}
-	for lpn := int64(0); lpn < cfg.PreconditionPages; lpn++ {
-		if _, err := s.flash.Precondition(lpn); err != nil {
-			return nil, fmt.Errorf("ssd: preconditioning to %d pages: %w",
-				cfg.PreconditionPages, err)
-		}
+	if err := s.flash.PreconditionPrefix(cfg.PreconditionPages); err != nil {
+		return nil, fmt.Errorf("ssd: preconditioning to %d pages: %w",
+			cfg.PreconditionPages, err)
 	}
 	return s, nil
 }
