@@ -332,9 +332,11 @@ type Latest struct {
 	zipf *Zipf
 }
 
-// NewLatest builds a latest-distribution sampler over n initial items.
-func NewLatest(n int64, theta float64) *Latest {
-	return &Latest{zipf: NewZipf(n, theta)}
+// NewLatest builds a latest-distribution sampler whose recency ranks follow
+// z. A Zipf is read-only once built, so z may be shared with other samplers
+// instead of paying its zeta normalisation twice.
+func NewLatest(z *Zipf) *Latest {
+	return &Latest{zipf: z}
 }
 
 // Sample draws an index in [0, max); index max-1 is most popular.

@@ -288,7 +288,7 @@ func TestScrambledZipfSpreadsHotKeys(t *testing.T) {
 
 func TestLatestFavorsNewest(t *testing.T) {
 	r := New(41)
-	l := NewLatest(1000, 0.99)
+	l := NewLatest(NewZipf(1000, 0.99))
 	const max = 500
 	counts := make([]int, max)
 	const n = 100000

@@ -1,0 +1,41 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// churnCB reschedules itself on every fire at a pseudo-random offset, so a
+// run of Steps keeps the heap at a constant depth.
+type churnCB struct {
+	e *Engine
+	x uint64 // xorshift state
+}
+
+func (c *churnCB) Fire(now Time, tag int) {
+	c.x ^= c.x << 13
+	c.x ^= c.x >> 7
+	c.x ^= c.x << 17
+	c.e.ScheduleTag(now+1+Time(c.x%(200*uint64(Microsecond))), c, tag)
+}
+
+// BenchmarkEngine times one steady-state ScheduleTag+Step pair with the
+// given number of events pending: 64 is about what an SSD run keeps in
+// flight once arrivals are streamed, 200k is what it held when a whole
+// trace was scheduled up front.
+func BenchmarkEngine(b *testing.B) {
+	for _, pending := range []int{64, 200_000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := &Engine{}
+			cb := &churnCB{e: e, x: 88172645463325252}
+			for i := 0; i < pending; i++ {
+				cb.Fire(0, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}

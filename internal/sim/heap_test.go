@@ -7,9 +7,11 @@ import (
 )
 
 // TestHeapStressOrdering hammers the hand-rolled 4-ary heap with random
-// schedule times, interleaved cancellations, and pooled/unpooled events, and
-// checks every fire lands in strict (at, seq) order — the total order the
-// whole simulator's determinism rests on.
+// schedule times, interleaved cancellations, pooled (ScheduleTag, through
+// both a value and a pointer Callback) and Handle-carrying (Schedule)
+// events, and a run that stops at several RunBefore instants, and checks
+// every fire lands in strict (at, seq) order — the total order the whole
+// simulator's determinism rests on.
 func TestHeapStressOrdering(t *testing.T) {
 	r := rng.New(42)
 	var e Engine
@@ -37,7 +39,7 @@ func TestHeapStressOrdering(t *testing.T) {
 		case 0:
 			handles = append(handles, e.Schedule(at, func(now Time) { check(now, s) }))
 		case 1:
-			e.ScheduleFunc(at, func(now Time) { check(now, s) })
+			e.ScheduleTag(at, &stampCB{check: check, s: s}, i)
 		default:
 			e.ScheduleTag(at, stampCB{check: check, s: s}, i)
 		}
@@ -48,6 +50,9 @@ func TestHeapStressOrdering(t *testing.T) {
 		if i%4 == 0 && h.Cancel() {
 			canceled++
 		}
+	}
+	for _, at := range []Time{0, 500 * Microsecond, 500 * Microsecond, 1234 * Microsecond} {
+		e.RunBefore(at)
 	}
 	e.Run()
 	if fired != n-canceled {

@@ -69,9 +69,6 @@ type scheduled struct {
 	cb  Callback
 	tag int
 	idx int
-	// pooled events (ScheduleFunc/ScheduleTag) have no Handle and return to
-	// the engine's free list after firing.
-	pooled bool
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
@@ -212,19 +209,6 @@ func (e *Engine) Schedule(at Time, fn Event) *Handle {
 	return &Handle{engine: e, ev: s}
 }
 
-// ScheduleFunc enqueues fn to run at time at, without a cancellation Handle.
-// The event record is pooled; use this for the fire-and-forget completions
-// that dominate a simulation run.
-func (e *Engine) ScheduleFunc(at Time, fn Event) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	s := e.get(at)
-	s.fn = fn
-	s.pooled = true
-	e.events.push(s)
-}
-
 // ScheduleTag enqueues cb.Fire(at, tag) without allocating a closure or a
 // Handle; the event record is pooled. Ordering semantics are identical to
 // Schedule: same-instant events fire in scheduling order.
@@ -235,7 +219,6 @@ func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
 	s := e.get(at)
 	s.cb = cb
 	s.tag = tag
-	s.pooled = true
 	e.events.push(s)
 }
 
@@ -254,11 +237,6 @@ func (e *Engine) get(at Time) *scheduled {
 	s.seq = e.seq
 	e.seq++
 	return s
-}
-
-// ScheduleAfter enqueues fn to run delay after the current time.
-func (e *Engine) ScheduleAfter(delay Time, fn Event) *Handle {
-	return e.Schedule(e.now+delay, fn)
 }
 
 // Handle allows cancelling a scheduled event.
@@ -288,28 +266,17 @@ func (e *Engine) Step() bool {
 	s := e.events.pop()
 	e.now = s.at
 	e.fired++
-	if s.cb != nil {
-		cb, tag := s.cb, s.tag
-		e.recycle(s)
-		cb.Fire(e.now, tag)
-	} else {
-		fn := s.fn
-		e.recycle(s)
-		fn(e.now)
+	if s.cb == nil {
+		s.fn(e.now)
+		return true
 	}
-	return true
-}
-
-// recycle returns a pooled event record to the free list. Records with a
-// Handle are left for the garbage collector, since the Handle may still
-// reference them.
-func (e *Engine) recycle(s *scheduled) {
-	if !s.pooled {
-		return
-	}
-	s.fn = nil
+	// Only ScheduleTag records are recycled: a Schedule record is left to
+	// the garbage collector, since its Handle may still reference it.
+	cb, tag := s.cb, s.tag
 	s.cb = nil
 	e.free = append(e.free, s)
+	cb.Fire(e.now, tag)
+	return true
 }
 
 // Run fires events until the queue is empty.
@@ -318,13 +285,18 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil fires events with timestamps ≤ deadline, then advances the clock
-// to the deadline (if it is ahead) and returns.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+// RunBefore fires every event scheduled strictly before t, then advances
+// the clock to t; events at exactly t stay pending. Feeding an external
+// stream of arrivals as "RunBefore(arrival), then act at arrival" makes each
+// arrival precede every event already pending at its instant — the same
+// order as scheduling all arrivals before the run starts, without holding
+// them in the heap. A t before the current clock panics, as in Schedule.
+func (e *Engine) RunBefore(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: running to %v before now %v", t, e.now))
+	}
+	for len(e.events) > 0 && e.events[0].at < t {
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.now = t
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -89,8 +90,16 @@ func TestCancelAfterFire(t *testing.T) {
 	var e Engine
 	h := e.Schedule(10, func(Time) {})
 	e.Run()
+	// A fired Schedule record is never recycled, so the stale Handle cannot
+	// reach a pooled event that reuses the engine's free list.
+	var cb counterCB
+	e.ScheduleTag(20, &cb, 0)
 	if h.Cancel() {
 		t.Error("Cancel after fire should return false")
+	}
+	e.Run()
+	if cb.n != 1 {
+		t.Errorf("pooled event after a stale Cancel fired %d times, want 1", cb.n)
 	}
 }
 
@@ -109,26 +118,42 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+func TestRunBefore(t *testing.T) {
 	var e Engine
-	fired := 0
-	e.Schedule(10, func(Time) { fired++ })
-	e.Schedule(20, func(Time) { fired++ })
-	e.Schedule(30, func(Time) { fired++ })
-	e.RunUntil(20)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
+	var fired []Time
+	for _, at := range []Time{10, 20, 20, 30} {
+		e.Schedule(at, func(now Time) { fired = append(fired, now) })
+	}
+	e.RunBefore(20)
+	if len(fired) != 1 || fired[0] != 10 {
+		t.Errorf("fired %v before 20, want [10]: an event at exactly t must stay pending", fired)
 	}
 	if e.Now() != 20 {
 		t.Errorf("clock = %v, want 20", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if e.Pending() != 3 {
+		t.Errorf("pending = %d, want 3", e.Pending())
 	}
-	e.RunUntil(100)
-	if fired != 3 || e.Now() != 100 {
-		t.Errorf("after second RunUntil: fired=%d now=%v", fired, e.Now())
+	// An event scheduled at the current instant after RunBefore still fires
+	// after the ones already pending there.
+	e.Schedule(20, func(now Time) { fired = append(fired, -now) })
+	e.RunBefore(20)
+	if len(fired) != 1 {
+		t.Errorf("a second RunBefore(20) fired %v", fired[1:])
 	}
+	e.RunBefore(100)
+	if want := []Time{10, 20, 20, -20, 30}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+	if e.Now() != 100 || e.Pending() != 0 {
+		t.Errorf("after RunBefore(100): now=%v pending=%d", e.Now(), e.Pending())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic running to a time before now")
+		}
+	}()
+	e.RunBefore(99)
 }
 
 func TestFiredCounter(t *testing.T) {

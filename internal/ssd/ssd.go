@@ -1,7 +1,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"readretry/internal/chip"
 	"readretry/internal/core"
@@ -128,21 +130,37 @@ func (s *SSD) Config() Config { return s.cfg }
 func (s *SSD) RPT() *rpt.Table { return s.table }
 
 // Run replays the request stream to completion and returns the statistics.
+//
+// Arrivals are streamed into the event engine rather than scheduled as
+// events: in arrival order (trace order among equal timestamps), the engine
+// fires every event strictly before the arrival and the request is then
+// submitted at its arrival instant, ahead of any completion due at that
+// same instant (DESIGN.md §3). The heap thus holds only in-flight events.
 func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
+	reqs := make([]request, len(recs))
 	for i := range recs {
 		r := &recs[i]
-		req := &request{
-			arrival: r.Arrival,
-			write:   r.Write,
-			lpn:     r.Offset / workload.PageSize,
-			pages:   (r.Size + workload.PageSize - 1) / workload.PageSize,
+		if r.Arrival < 0 {
+			return nil, fmt.Errorf("ssd: record %d arrives at %v, before time 0", i, r.Arrival)
 		}
-		if req.pages < 1 {
-			req.pages = 1
-		}
-		s.eng.Schedule(r.Arrival, func(now sim.Time) { s.submit(req, now) })
+		reqs[i] = newRequest(r)
+	}
+	byArrival := func(a, b request) int { return cmp.Compare(a.arrival, b.arrival) }
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		slices.SortStableFunc(reqs, byArrival)
+	}
+	for i := range reqs {
+		req := &reqs[i]
+		s.eng.RunBefore(req.arrival)
+		s.submit(req, req.arrival)
 	}
 	s.eng.Run()
+	return s.finish()
+}
+
+// finish checks that the drained run left nothing queued and completes the
+// statistics with the device-wide totals.
+func (s *SSD) finish() (*Stats, error) {
 	if n := s.pendingTxns(); n != 0 {
 		return nil, fmt.Errorf("ssd: %d transactions stranded after run", n)
 	}
@@ -181,6 +199,16 @@ type request struct {
 	lpn       int64
 	pages     int
 	remaining int
+}
+
+// newRequest maps a trace record onto whole pages.
+func newRequest(r *trace.Record) request {
+	return request{
+		arrival: r.Arrival,
+		write:   r.Write,
+		lpn:     r.Offset / workload.PageSize,
+		pages:   max((r.Size+workload.PageSize-1)/workload.PageSize, 1),
+	}
 }
 
 // txn is one page-granularity flash transaction.

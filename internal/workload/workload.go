@@ -209,7 +209,7 @@ func NewGenerator(spec Spec, seed uint64) *Generator {
 	}
 	g.coldZipf = rng.NewZipf(g.coldPages, s.ZipfTheta)
 	g.hotZipf = rng.NewZipf(g.hotPages, s.ZipfTheta)
-	g.latest = rng.NewLatest(g.hotPages, s.ZipfTheta)
+	g.latest = rng.NewLatest(g.hotZipf)
 	g.inserted = g.hotPages / 2
 	if g.inserted < 1 {
 		g.inserted = 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the read-path, sweep, preconditioning and ssd.New
-# benchmarks and record the results as JSON, starting the repository's
-# performance trajectory.
+# bench.sh — run the read-path, sweep, preconditioning, ssd.New,
+# event-engine and ssd.Run benchmarks and record the results as JSON,
+# starting the repository's performance trajectory.
 #
 # Usage:
 #   scripts/bench.sh [output.json] [benchtime]
@@ -32,8 +32,8 @@ macrotime="${2:-5x}"
 micro=$(go test . -run NONE \
   -bench 'BenchmarkReadPath|BenchmarkVthModelRead' \
   -benchtime 2s -benchmem)
-macro=$(go test . ./internal/ftl ./internal/ssd -run NONE \
-  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSweepSharded|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew' \
+macro=$(go test . ./internal/ftl ./internal/sim ./internal/ssd -run NONE \
+  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSweepSharded|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun' \
   -benchtime "$macrotime" -benchmem)
 raw="$micro
 $macro"
