@@ -16,28 +16,23 @@
 //	repro -retry-metrics -csv out  # also stream out/fig14.metrics.csv (per-block retry accounting)
 //	repro -history         # add the history-seeded PnAR2+H column to the fig14 grid
 //
-// The Figure 14/15 sweeps can be distributed across processes (even
-// machines sharing a filesystem) through the shard subsystem; every mode
-// needs -cache-dir, the shared result store:
+// The Figure 14/15 sweeps can be split across processes (even machines
+// sharing a filesystem) through the shard subsystem: run every shard index
+// over one -cache-dir, the shared result store, then merge. Re-running an
+// interrupted shard resumes from the cache.
 //
 //	repro -only fig14 -cache-dir .rrc -shards 4 -shard-index 2   # run one shard
 //	repro -only fig14 -cache-dir .rrc -merge                     # merge completed shards
-//	repro -only fig14 -cache-dir .rrc -spawn-shards 4            # fork 4 children + merge
 //
-// Or over the network — no shared filesystem, fault-tolerant leases
-// (coord.go in this package; internal/experiments/coord for the protocol):
-//
-//	repro -only fig14 -serve :9736        # coordinator: shard, serve, merge, render
-//	repro -worker host:9736               # worker(s): pull and execute shards
-//	repro -only fig15 -submit host:9736   # another client borrows the same daemon
+// On one machine -parallel already fills every core from one process.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -75,16 +70,42 @@ var (
 	retryMetrics = flag.Bool("retry-metrics", false, "collect per-block retry accounting during the Figure 14/15 sweeps; with -csv, streams <figure>.metrics.csv beside the sweep CSV (observational only: latencies are bit-identical either way)")
 	history      = flag.Bool("history", false, "add the PnAR2+H column — PnAR2 with each block's ladder start seeded from its last successful retry outcome — to the Figure 14 grid")
 
-	shards      = flag.Int("shards", 0, "partition the Figure 14/15 grids into this many round-robin shards and run only -shard-index (requires -cache-dir)")
-	shardIndex  = flag.Int("shard-index", 0, "which shard to run when -shards is set (0-based)")
-	mergeFlag   = flag.Bool("merge", false, "merge completed shard outputs from -cache-dir instead of simulating; fails listing the missing cells if any shard has not finished")
-	spawnShards = flag.Int("spawn-shards", 0, "fork this many child repro processes (one per shard) over the shared -cache-dir, wait, and merge their outputs")
+	shards     = flag.Int("shards", 0, "partition the Figure 14/15 grids into this many round-robin shards and run only -shard-index (requires -cache-dir)")
+	shardIndex = flag.Int("shard-index", 0, "which shard to run when -shards is set (0-based)")
+	mergeFlag  = flag.Bool("merge", false, "merge completed shard outputs from -cache-dir instead of simulating; fails listing the missing cells if any shard has not finished")
 )
 
-// distributed reports whether any shard-coordination mode is active; those
-// modes apply only to the Figure 14/15 sweeps, so every other experiment
-// is skipped while one is on.
-func distributed() bool { return *shards > 0 || *mergeFlag || *spawnShards > 0 }
+// distributed reports whether a shard mode (-shards or -merge) is active;
+// those modes apply only to the Figure 14/15 sweeps, so every other
+// experiment is skipped while one is on.
+func distributed() bool { return *shards > 0 || *mergeFlag }
+
+// checkFlags rejects flag combinations the shard modes cannot honour, so
+// a mistyped shard flag fails loudly instead of quietly running the whole
+// grid in one process. main exits with status 2 on its error.
+func checkFlags() error {
+	indexSet := false
+	flag.Visit(func(f *flag.Flag) { indexSet = indexSet || f.Name == "shard-index" })
+	switch {
+	case *shards < 0:
+		return fmt.Errorf("-shards %d: need a positive shard count", *shards)
+	case indexSet && *shards == 0:
+		return errors.New("-shard-index needs -shards")
+	case *shards > 0 && *mergeFlag:
+		return errors.New("-shards and -merge are mutually exclusive")
+	case *shards > 0 && (*shardIndex < 0 || *shardIndex >= *shards):
+		return fmt.Errorf("-shard-index %d outside [0, %d)", *shardIndex, *shards)
+	case *shards > 0 && *csvDir != "":
+		// A shard has no complete stripes to normalize, so it cannot
+		// emit the CSV; refusing beats silently writing nothing.
+		return errors.New("-csv needs a full grid; pass it to -merge instead of a -shards run")
+	case distributed() && *cacheDir == "":
+		return errors.New("shard modes need -cache-dir, the shared result store")
+	case distributed() && !want("fig14") && !want("fig15"):
+		return errors.New("shard modes distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
+	}
+	return nil
+}
 
 // shardsDir is where manifests and completion records live: a subdirectory
 // of the shared cache dir, beside (not among) the per-cell entries.
@@ -139,8 +160,8 @@ func metricsSinkFor(name string, cfg experiments.Config) (experiments.CellSink, 
 
 // writeFigureCSV writes a complete grid to -csv's dir/<name>.csv. The grid
 // being complete, the buffered encoder writes the same bytes the streaming
-// sink would have — the property the distributed modes' byte-identity
-// rests on. Without -csv it is a no-op.
+// sink would have — the property -merge's byte-identity rests on. Without
+// -csv it is a no-op.
 func writeFigureCSV(name string, res *experiments.Result) error {
 	if *csvDir == "" {
 		return nil
@@ -184,8 +205,8 @@ func writeFigureMetricsCSV(name string, res *experiments.Result) error {
 
 // fig14Variants returns the Figure 14 columns, appending the
 // history-seeded ladder variant under -history. Every mode — direct,
-// shard, merge, spawn, networked — derives the grid from this one
-// function, so the config hash and cache keys agree across processes.
+// shard, merge — derives the grid from this one function, so the config
+// hash and cache keys agree across processes.
 func fig14Variants() []experiments.Variant {
 	vs := experiments.Figure14Variants()
 	if *history {
@@ -257,7 +278,7 @@ func renderByTemp(res *experiments.Result, config, reference string) {
 // the callback itself is serialized by the engine). Every report carries a
 // cells-remaining count; a shard run additionally prefixes its identity
 // ("[shard 2/8]") and emits whole lines instead of \r rewinds, because
-// several child processes interleave on one terminal and rewinds would
+// several shard processes may share one terminal and rewinds would
 // overwrite each other.
 func sweepProgress(name string) func(done, total int) {
 	prefix := ""
@@ -290,8 +311,8 @@ func sweepProgress(name string) func(done, total int) {
 }
 
 func want(name string) bool {
-	if (distributed() || networked()) && name != "fig14" && name != "fig15" {
-		return false // shard and coordinator modes distribute only the sweeps
+	if distributed() && name != "fig14" && name != "fig15" {
+		return false // shard modes distribute only the sweeps
 	}
 	return *only == "all" || strings.EqualFold(*only, name)
 }
@@ -320,7 +341,7 @@ func runSweepFigure(name string, cfg experiments.Config, variants []experiments.
 			*shardIndex+1, *shards, name, m.RecordFilename())
 		return nil, nil
 
-	case *mergeFlag || *spawnShards > 0:
+	case *mergeFlag:
 		res, err := shard.Merge(cfg, variants, shardsDir(), cfg.Cache)
 		if err != nil {
 			return nil, err
@@ -361,118 +382,15 @@ func runSweepFigure(name string, cfg experiments.Config, variants []experiments.
 	}
 }
 
-// spawnShardChildren forks n repro processes, one per shard, over the
-// shared cache dir, and waits for all of them. Children inherit the
-// sweep-defining flags; unless the user pinned -parallel, each child gets
-// an even slice of the machine so n children do not oversubscribe it n×.
-func spawnShardChildren(n int) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	// An explicit -parallel 0 means "the default" just like omitting the
-	// flag, and spawn mode's default is the even split — only a concrete
-	// pool size is forwarded as-is.
-	par := *parallel
-	if par <= 0 {
-		if par = runtime.GOMAXPROCS(0) / n; par < 1 {
-			par = 1
-		}
-	}
-	base := []string{
-		"-only", *only,
-		"-cache-dir", *cacheDir,
-		"-shards", strconv.Itoa(n),
-		"-seed", strconv.FormatUint(*seed, 10),
-		"-parallel", strconv.Itoa(par),
-		"-progress=" + strconv.FormatBool(*progress),
-	}
-	if *quick {
-		base = append(base, "-quick")
-	}
-	if *temps != "" {
-		base = append(base, "-temps", *temps)
-	}
-	if *device != "" {
-		base = append(base, "-device", *device)
-	}
-	if *retryMetrics {
-		base = append(base, "-retry-metrics")
-	}
-	if *history {
-		base = append(base, "-history")
-	}
-	cmds := make([]*exec.Cmd, n)
-	for i := range cmds {
-		args := append(append([]string(nil), base...), "-shard-index", strconv.Itoa(i))
-		c := exec.Command(exe, args...)
-		c.Stdout = os.Stdout // shard mode prints only prefixed progress lines
-		c.Stderr = os.Stderr
-		if err := c.Start(); err != nil {
-			for _, prev := range cmds[:i] {
-				prev.Process.Kill()
-				prev.Wait()
-			}
-			return fmt.Errorf("starting shard %d/%d: %w", i+1, n, err)
-		}
-		cmds[i] = c
-	}
-	var firstErr error
-	for i, c := range cmds {
-		if err := c.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d/%d child failed: %w", i+1, n, err)
-		}
-	}
-	return firstErr
-}
-
 func header(s string) {
 	fmt.Printf("\n==== %s %s\n", s, strings.Repeat("=", 70-len(s)))
 }
 
 func main() {
 	flag.Parse()
-	modes := 0
-	for _, on := range []bool{*shards > 0, *mergeFlag, *spawnShards > 0,
-		*serveAddr != "", *workerAddr != "", *submitAddr != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "repro: -shards, -merge, -spawn-shards, -serve, -worker and -submit are mutually exclusive")
+	if err := checkFlags(); err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
-	}
-	if *workerAddr != "" {
-		if err := runWorkerMode(); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if networked() && !want("fig14") && !want("fig15") {
-		fmt.Fprintln(os.Stderr, "repro: -serve and -submit distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
-		os.Exit(2)
-	}
-	if distributed() {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "repro: shard modes need -cache-dir, the shared result store")
-			os.Exit(2)
-		}
-		if *shards > 0 && (*shardIndex < 0 || *shardIndex >= *shards) {
-			fmt.Fprintf(os.Stderr, "repro: -shard-index %d outside [0, %d)\n", *shardIndex, *shards)
-			os.Exit(2)
-		}
-		if *shards > 0 && *csvDir != "" {
-			// A shard has no complete stripes to normalize, so it cannot
-			// emit the CSV; refusing beats silently writing nothing.
-			fmt.Fprintln(os.Stderr, "repro: -csv needs a full grid; pass it to -merge or -spawn-shards instead of a -shards run")
-			os.Exit(2)
-		}
-		if !want("fig14") && !want("fig15") {
-			fmt.Fprintln(os.Stderr, "repro: shard modes distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
-			os.Exit(2)
-		}
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -753,9 +671,9 @@ func main() {
 			// The disk tier makes re-runs incremental; within one
 			// invocation it also lets fig15 reuse fig14's Baseline and
 			// NoRR cells (same scheme+PSO, so the same content address).
-			// Shard modes lean on it harder: it is the store children fill
-			// concurrently, what makes interrupted shards resumable, and a
-			// fallback source for -merge.
+			// Shard modes lean on it harder: it is the store shard
+			// processes fill concurrently, what makes interrupted shards
+			// resumable, and a fallback source for -merge.
 			cache, err := cellcache.Disk(*cacheDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
@@ -763,27 +681,7 @@ func main() {
 			}
 			cfg.Cache = cache
 		}
-		if networked() {
-			// Coordinator-protocol modes render inside runNetworkedSweeps
-			// (the serve daemon as each of its own jobs completes, the
-			// submit client as results stream back) and share the figure
-			// selection with the paths below.
-			if err := runNetworkedSweeps(cfg, add); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *spawnShards > 0 {
-			// Fork one child per shard over the shared store; each child
-			// runs the same -only selection with -shards/-shard-index, so
-			// a parent asked for both figures shards both. The merges
-			// below consume what the children recorded.
-			if err := spawnShardChildren(*spawnShards); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if !networked() && want("fig14") {
+		if want("fig14") {
 			if *shards == 0 {
 				header("Figure 14: SSD response time (normalized to Baseline)")
 			}
@@ -796,7 +694,7 @@ func main() {
 				renderFig14(res, cfg, add)
 			}
 		}
-		if !networked() && want("fig15") {
+		if want("fig15") {
 			if *shards == 0 {
 				header("Figure 15: combining with PSO (normalized to Baseline)")
 			}

@@ -7,8 +7,8 @@
 // The shards here run sequentially in one process to keep the example
 // deterministic and self-contained; each Run call is exactly what a
 // separate process (or machine sharing the directory) would execute. The
-// cmd/repro flags -shards/-shard-index/-merge/-spawn-shards drive the same
-// API across real processes.
+// cmd/repro flags -shards/-shard-index/-merge drive the same API across
+// real processes.
 package main
 
 import (

@@ -16,7 +16,7 @@ func TestPathMatches(t *testing.T) {
 		{"readretry/internal/simulator", "internal/sim", false},
 		{"myinternal/sim", "internal/sim", false},
 		// Subpackage coverage.
-		{"readretry/internal/experiments/coord", "internal/experiments", true},
+		{"readretry/internal/experiments/shard", "internal/experiments", true},
 		{"readretry/internal/experiments/cellcache", "internal/experiments", true},
 		// Unrelated paths.
 		{"readretry/examples/quickstart", "internal/sim", false},
@@ -51,7 +51,7 @@ func TestSeededRandExemption(t *testing.T) {
 	if !PathInList("readretry/internal/rng", SeededRandExemptPackages) {
 		t.Error("internal/rng must be exempt from seededrand")
 	}
-	if PathInList("readretry/internal/experiments/coord", SeededRandExemptPackages) {
-		t.Error("coord must not be exempt from seededrand")
+	if PathInList("readretry/internal/experiments/shard", SeededRandExemptPackages) {
+		t.Error("shard must not be exempt from seededrand")
 	}
 }

@@ -24,10 +24,9 @@ var forbiddenTimeFuncs = map[string]bool{
 // Every output of the simulation stack — Figure 14/15 CSVs, cache keys,
 // shard records — must be a pure function of the seed and config; one
 // time.Now() in a sim package breaks bit-reproducibility invisibly until
-// a golden-CSV diff catches it. The injected-clock seams that must exist
-// (coord's SystemClock fallback, cellcache's stale-temp-file cutoff)
-// carry a //lint:wallclock <reason> annotation, and an annotation without
-// a reason is itself reported.
+// a golden-CSV diff catches it. A wall-clock read that must exist
+// (cellcache's stale-temp-file cutoff) carries a //lint:wallclock <reason>
+// annotation, and an annotation without a reason is itself reported.
 var Detclock = &Analyzer{
 	Name: "detclock",
 	Doc:  "forbid time.Now/Sleep/After/Since/Until/Tick in determinism-critical packages (escape: //lint:wallclock <reason>)",

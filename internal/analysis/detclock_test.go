@@ -28,7 +28,6 @@ func TestDetclockScopeIsConfiguration(t *testing.T) {
 		"readretry/internal/chip",
 		"readretry/internal/ftl",
 		"readretry/internal/experiments",
-		"readretry/internal/experiments/coord",
 		"readretry/internal/experiments/shard",
 		"readretry/internal/experiments/cellcache",
 	}

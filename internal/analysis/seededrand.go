@@ -19,7 +19,7 @@ var allowedRandFuncs = map[string]bool{
 // outside internal/rng.
 //
 // The global generator is process-wide mutable state: two subsystems
-// drawing from it interleave, so a jitter call in the coordinator client
+// drawing from it interleave, so a jitter call in one subsystem
 // can perturb a sampling sequence elsewhere and no run is reproducible
 // from its seed. Code that needs randomness constructs a seeded
 // *rand.Rand (rand.New is allowed) or uses internal/rng's splittable

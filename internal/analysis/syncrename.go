@@ -14,11 +14,11 @@ var fileCreationFuncs = map[string]bool{
 	"OpenFile":   true,
 }
 
-// Syncrename enforces the repo's durability protocol (DESIGN.md §12):
+// Syncrename enforces the repo's durability protocol (DESIGN.md §9):
 // any function that creates/writes a file and publishes it with
 // os.Rename must Sync() the written file before the rename. Rename makes
 // the name visible atomically, but without the preceding fsync a crash
-// can leave a *visible, empty or torn* file — and the shard/coord
+// can leave a *visible, empty or torn* file — and the shard and cellcache
 // subsystems treat a visible cache entry, manifest, or completion record
 // as durable work they will never redo.
 //

@@ -13,8 +13,8 @@
 // identical run performs zero simulations). Both are safe for concurrent
 // use by the engine's worker pool.
 //
-// Because disk entries feed byte-identity merges (the shard and coord
-// subsystems treat a cache hit as ground truth), the disk tier defends its
+// Because disk entries feed byte-identity merges (the shard subsystem
+// treats a cache hit as ground truth), the disk tier defends its
 // integrity end to end: every entry carries a CRC-32C over its payload, a
 // corrupt or torn entry is quarantined and treated as a miss (the engine
 // recomputes the cell and the next Put heals the entry), and stale temp
@@ -65,7 +65,7 @@ type Cache interface {
 // memory is the in-process tier: a plain map under an RWMutex.
 type memory struct {
 	mu sync.RWMutex
-	m  map[string]Measurement
+	m  map[string]Measurement // guarded by mu
 }
 
 // Memory returns an empty in-memory cache. It lives as long as the

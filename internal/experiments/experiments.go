@@ -277,7 +277,7 @@ type Cell struct {
 	RetrySteps float64 // mean N_RR observed
 	// Retry is the per-address retry accounting digest, present iff the
 	// sweep's device template enables Base.RetryMetrics. It flows through
-	// the cell cache, shard records, and the coordinator unchanged.
+	// the cell cache and shard records unchanged.
 	Retry *retrymetrics.Summary
 }
 

@@ -1,8 +1,8 @@
 package shard
 
 // Malformed-input fuzzing for the two JSON artifacts that cross trust
-// boundaries: shard manifests (workers read them from a shared directory)
-// and completion records (coordinators accept them over the network).
+// boundaries: shard manifests and completion records, both read back from
+// a directory other processes write.
 // Whatever bytes arrive — truncated JSON, wrong types, hostile indices —
 // decoding plus validation must return an error or a clean rejection,
 // never panic. The seed corpus runs on every plain `go test`; `go test

@@ -139,16 +139,15 @@ func Merge(cfg experiments.Config, variants []experiments.Variant, dir string, c
 		}
 		return nil, e
 	}
-	return Assemble(g, variants, got)
+	return assemble(g, variants, got)
 }
 
-// Assemble builds the final normalized Result from a fully covered
-// measurement vector in canonical order — the last step of every merge,
-// shared by the batch Merge above and the coordinator's incremental merge
-// (internal/experiments/coord), so both produce bit-identical output: the
-// cells are decoded from the grid, the raw measurements attached, and the
-// engine's post-hoc normalization applied exactly once over the whole set.
-func Assemble(g *experiments.Grid, variants []experiments.Variant, got []cellcache.Measurement) (*experiments.Result, error) {
+// assemble builds the final normalized Result from a fully covered
+// measurement vector in canonical order — the last step of Merge, and why
+// its output is bit-identical to an unsharded run: the cells are decoded
+// from the grid, the raw measurements attached, and the engine's post-hoc
+// normalization applied exactly once over the whole set.
+func assemble(g *experiments.Grid, variants []experiments.Variant, got []cellcache.Measurement) (*experiments.Result, error) {
 	if len(got) != g.Total() {
 		return nil, fmt.Errorf("shard: assembling %d measurements over a %d-cell grid", len(got), g.Total())
 	}

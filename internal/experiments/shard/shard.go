@@ -158,9 +158,9 @@ func NewPlan(cfg experiments.Config, variants []experiments.Variant, n int) (*Pl
 }
 
 // WriteManifests serializes every shard of the plan into dir (created if
-// absent), one JSON file per shard, atomically. Coordinators hand these to
-// worker processes; Run re-verifies each against its own configuration, so
-// a stale manifest can never silently execute the wrong cells.
+// absent), one JSON file per shard, atomically. Run re-verifies each
+// against its own configuration, so a stale manifest can never silently
+// execute the wrong cells.
 func (p *Plan) WriteManifests(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: %w", err)

@@ -140,13 +140,13 @@ func (s *CSVSink) Cell(c Cell, index, total int) error {
 // Result.Cells, so the buffered and streaming views are the same data.
 type resequencer struct {
 	mu        sync.Mutex
-	cells     []Cell // the Result's backing slice, filled in place
+	cells     []Cell // the Result's backing slice, filled in place; guarded by mu
 	stride    int    // cells per (workload, condition) stripe
-	filled    []int  // completed-cell count per stripe
-	next      int    // first stripe not yet released
+	filled    []int  // completed-cell count per stripe; guarded by mu
+	next      int    // first stripe not yet released; guarded by mu
 	reference string // normalization column
 	sinks     []CellSink
-	sinkErr   error // latched first sink failure; stops all further emission
+	sinkErr   error // latched first sink failure; stops all further emission; guarded by mu
 }
 
 // newResequencer accepts the release-order consumers; nil sinks are

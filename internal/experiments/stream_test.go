@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -281,6 +283,68 @@ func TestCacheDiskTierPersists(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("disk-cached result differs from the cold run")
+	}
+}
+
+// TestCacheDiskCorruptEntryRecomputedAndHealed runs a sweep over a disk
+// cache with one entry's bytes flipped, as a later process resuming from
+// the shared cache dir would: the bad entry is quarantined and counted,
+// exactly that one cell is re-simulated, the result still equals the
+// cold run, and the re-Put entry serves a third run from disk.
+func TestCacheDiskCorruptEntryRecomputedAndHealed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinySweepConfig(7)
+	cfg.Parallelism = 4
+
+	disk1, err := cellcache.Disk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = disk1
+	cold, _ := runCounting(t, cfg, Figure14Variants())
+
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no cache entry to corrupt (%v)", err)
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	disk2, err := cellcache.Disk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = disk2
+	healed, sims := runCounting(t, cfg, Figure14Variants())
+	if sims != 1 {
+		t.Fatalf("run over the corrupted cache simulated %d cells, want exactly the 1 corrupted", sims)
+	}
+	if got := disk2.CorruptCount(); got != 1 {
+		t.Fatalf("CorruptCount = %d, want 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, cellcache.QuarantineDir, filepath.Base(entries[0]))); err != nil {
+		t.Fatalf("corrupt entry not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(cold, healed) {
+		t.Fatal("result over the corrupted cache differs from the cold run")
+	}
+
+	disk3, err := cellcache.Disk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = disk3
+	if _, sims := runCounting(t, cfg, Figure14Variants()); sims != 0 {
+		t.Fatalf("run after healing simulated %d cells, want 0", sims)
+	}
+	if got := disk3.CorruptCount(); got != 0 {
+		t.Fatalf("healed cache still counts %d corrupt entries", got)
 	}
 }
 

@@ -308,3 +308,23 @@ func TestSortByArrival(t *testing.T) {
 		t.Errorf("sort failed: %+v", recs)
 	}
 }
+
+// BenchmarkGenerate times trace generation for the read-only YCSB-C and
+// the write-heavy stg_0 at 20k requests — the per-workload set-up every
+// sweep pays once before its cells run.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{"YCSB-C", "stg_0"} {
+		spec, err := ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if recs := NewGenerator(spec, 1).Generate(20000); len(recs) != 20000 {
+					b.Fatalf("generated %d records, want 20000", len(recs))
+				}
+			}
+		})
+	}
+}

@@ -22,8 +22,7 @@
 //   - an MQSim-style multi-queue SSD simulator (NewSSD) and the Figure
 //     14/15 system-level sweeps (Figure14, Figure15), shardable across
 //     processes with bit-identical merges (ShardPlan, RunShard,
-//     MergeShards) or across machines via the networked coordinator
-//     (ServeSweeps, RunWorker, SubmitSweep);
+//     MergeShards);
 //   - the twelve Table 2 workload generators (Workloads, NewWorkload).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
@@ -33,7 +32,6 @@ package readretry
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"readretry/internal/charz"
 	"readretry/internal/chip"
@@ -41,7 +39,6 @@ import (
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
-	"readretry/internal/experiments/coord"
 	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
@@ -317,6 +314,11 @@ type (
 	SweepCache = cellcache.Cache
 	// SweepMeasurement is one cached raw cell measurement.
 	SweepMeasurement = cellcache.Measurement
+	// SweepDiskCache is the concrete disk tier behind NewDiskSweepCache,
+	// exposing its integrity surface: per-entry CRC-32C checksums,
+	// CorruptCount, and quarantine-on-corruption (corrupt entries move to
+	// a quarantine subdirectory and degrade to recomputable misses).
+	SweepDiskCache = cellcache.DiskCache
 )
 
 // NewSweepCSVSink writes the CSV header to w and returns a sink that
@@ -455,109 +457,4 @@ func MergeShards(cfg SweepConfig, variants []SweepVariant, dir string, cache Swe
 // already known.
 func RunSweep(ctx context.Context, cfg SweepConfig, variants []SweepVariant) (*SweepResult, error) {
 	return experiments.RunSweep(ctx, cfg, variants)
-}
-
-// Networked sweep coordination: the same sharded grids served over HTTP
-// with lease/heartbeat fault tolerance — workers that crash mid-shard are
-// re-leased after a TTL, completions are idempotent, and the merged result
-// is bit-identical to a single-process RunSweep.
-type (
-	// SweepCoordinator owns the shard work queue: it leases shards to
-	// workers, expires leases whose heartbeats stop, merges completion
-	// records incrementally, and finalizes each job into a SweepResult.
-	SweepCoordinator = coord.Coordinator
-	// SweepCoordinatorOptions configures a coordinator (lease TTL, shared
-	// cell cache, injectable clock).
-	SweepCoordinatorOptions = coord.Options
-	// SweepSpec is the self-contained wire form of one sweep submission:
-	// everything a worker needs to rebuild the SweepConfig and variants.
-	SweepSpec = coord.Spec
-	// SweepLease is one granted shard: manifest, spec, TTL, and deadline.
-	SweepLease = coord.Lease
-	// SweepJobStatus is a job's observable progress.
-	SweepJobStatus = coord.JobStatus
-	// SweepSubmitReceipt acknowledges a submission: job ID and shard count.
-	SweepSubmitReceipt = coord.SubmitReceipt
-	// SweepWorker is the configurable pull loop behind RunWorker.
-	SweepWorker = coord.Worker
-	// SweepClient speaks the coordinator's HTTP protocol directly.
-	SweepClient = coord.Client
-	// SweepForeignRecordError is the typed rejection a completion record
-	// earns when its config hash matches no submitted job.
-	SweepForeignRecordError = coord.ForeignRecordError
-)
-
-// DefaultLeaseTTL is how long a shard lease survives without a heartbeat
-// before the coordinator re-leases it.
-const DefaultLeaseTTL = coord.DefaultLeaseTTL
-
-// NewSweepCoordinator builds an in-process coordinator; serve it with
-// SweepCoordinatorHandler (or use ServeSweeps for the one-call daemon).
-func NewSweepCoordinator(opts SweepCoordinatorOptions) *SweepCoordinator { return coord.New(opts) }
-
-// SweepCoordinatorHandler returns the coordinator's HTTP handler, for
-// mounting on a server the caller owns.
-func SweepCoordinatorHandler(c *SweepCoordinator) http.Handler { return coord.NewServer(c).Handler() }
-
-// SweepSpecOf captures a sweep configuration and variants as the wire Spec
-// a coordinator submission carries.
-func SweepSpecOf(cfg SweepConfig, variants []SweepVariant) SweepSpec {
-	return coord.SpecOf(cfg, variants)
-}
-
-// ServeSweeps runs a sweep coordinator on addr until ctx ends: workers
-// pull shards with RunWorker, clients submit jobs with SubmitSweep, and
-// an expiry loop re-leases shards whose workers stop heartbeating. opts
-// zero value serves with DefaultLeaseTTL and no shared cache.
-func ServeSweeps(ctx context.Context, addr string, opts SweepCoordinatorOptions) error {
-	return coord.Serve(ctx, addr, opts)
-}
-
-// RunWorker pulls and executes sweep shards from the coordinator at addr
-// until it drains or ctx ends. cache (see NewDiskSweepCache) makes a
-// killed worker resumable: after a restart only the cells the crash lost
-// are re-simulated. parallelism 0 means the engine default; logf may be
-// nil.
-func RunWorker(ctx context.Context, addr string, cache SweepCache, parallelism int, logf func(format string, args ...interface{})) error {
-	return coord.RunWorker(ctx, addr, cache, parallelism, logf)
-}
-
-// SubmitSweep submits one sweep to the coordinator at addr, waits for
-// workers to complete it, and returns the merged result — bit-identical
-// to RunSweep of the same cfg and variants.
-func SubmitSweep(ctx context.Context, cfg SweepConfig, variants []SweepVariant, addr string, shards int) (*SweepResult, error) {
-	return coord.SubmitSweep(ctx, addr, cfg, variants, shards)
-}
-
-// Coordinator durability: the crash-safe state journal and the transport
-// fault-tolerance knobs (DESIGN.md §12).
-type (
-	// SweepRecoveryStats summarizes what RecoverSweepCoordinator replayed:
-	// jobs, completion records, merged cells, and whether a torn final
-	// journal entry (an unacknowledged append the crash interrupted) was
-	// discarded.
-	SweepRecoveryStats = coord.RecoveryStats
-	// SweepRetryPolicy bounds a SweepClient's retry loop: attempts,
-	// exponential backoff base/cap, and jitter. Transport errors and 5xx
-	// refusals are retried (every protocol mutation is idempotent); typed
-	// protocol errors never are.
-	SweepRetryPolicy = coord.RetryPolicy
-	// SweepDiskCache is the concrete disk tier behind NewDiskSweepCache,
-	// exposing its integrity surface: per-entry CRC-32C checksums,
-	// CorruptCount, and quarantine-on-corruption (corrupt entries move to
-	// a quarantine subdirectory and degrade to recomputable misses).
-	SweepDiskCache = cellcache.DiskCache
-)
-
-// RecoverSweepCoordinator builds a coordinator whose durable state lives
-// under stateDir: every submission and accepted completion record is
-// appended to an fsync'd journal before it is acknowledged, and this call
-// replays that journal (plus opts.Cache) into a fresh coordinator — a
-// SIGKILL'd coordinator restarted over the same stateDir resumes every
-// job with zero lost work and zero duplicate simulation. Leases are
-// deliberately not recovered (workers re-pull after their heartbeats are
-// rejected). Close the returned coordinator to flush and release the
-// journal.
-func RecoverSweepCoordinator(stateDir string, opts SweepCoordinatorOptions) (*SweepCoordinator, SweepRecoveryStats, error) {
-	return coord.Recover(stateDir, opts)
 }

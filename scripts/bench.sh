@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run the read-path, sweep, preconditioning, ssd.New,
-# event-engine and ssd.Run benchmarks and record the results as JSON,
-# starting the repository's performance trajectory.
+# event-engine, ssd.Run, workload-generation and CSV-sink benchmarks and
+# record the results as JSON, starting the repository's performance
+# trajectory.
 #
 # Usage:
 #   scripts/bench.sh [output.json] [benchtime]
@@ -32,8 +33,8 @@ macrotime="${2:-5x}"
 micro=$(go test . -run NONE \
   -bench 'BenchmarkReadPath|BenchmarkVthModelRead' \
   -benchtime 2s -benchmem)
-macro=$(go test . ./internal/ftl ./internal/sim ./internal/ssd -run NONE \
-  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSweepSharded|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun' \
+macro=$(go test . ./internal/experiments ./internal/ftl ./internal/sim ./internal/ssd ./internal/workload -run NONE \
+  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSweepSharded|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun|BenchmarkGenerate|BenchmarkCSVSink' \
   -benchtime "$macrotime" -benchmem)
 raw="$micro
 $macro"
