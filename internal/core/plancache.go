@@ -24,7 +24,7 @@ type planKey struct {
 // tests).
 type planCache struct {
 	mu sync.RWMutex
-	m  map[planKey]*Plan
+	m  map[planKey]*Plan // guarded by mu
 }
 
 var sharedPlans = planCache{m: make(map[planKey]*Plan)}
@@ -42,22 +42,25 @@ func CachedPlan(s Scheme, nrr int, t StepTimings, opts Options) *Plan {
 	if s == NoRR {
 		nrr = 0
 	}
-	key := planKey{scheme: s, nrr: nrr, t: t, opts: opts}
-	sharedPlans.mu.RLock()
-	p, ok := sharedPlans.m[key]
-	sharedPlans.mu.RUnlock()
+	return sharedPlans.get(planKey{scheme: s, nrr: nrr, t: t, opts: opts})
+}
+
+// get returns the plan for key, building and storing it on first use.
+func (c *planCache) get(key planKey) *Plan {
+	c.mu.RLock()
+	p, ok := c.m[key]
+	c.mu.RUnlock()
 	if ok {
 		return p
 	}
-	built := BuildPlan(s, nrr, t, opts)
-	sharedPlans.mu.Lock()
+	built := BuildPlan(key.scheme, key.nrr, key.t, key.opts)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Re-check under the write lock; keep the first stored plan so every
 	// caller observes one canonical pointer.
-	if existing, ok := sharedPlans.m[key]; ok {
-		sharedPlans.mu.Unlock()
+	if existing, ok := c.m[key]; ok {
 		return existing
 	}
-	sharedPlans.m[key] = &built
-	sharedPlans.mu.Unlock()
+	c.m[key] = &built
 	return &built
 }

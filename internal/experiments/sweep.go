@@ -152,19 +152,10 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 	traces := make([]sharedTrace, len(g.Workloads))
 	jobs := make(chan int)
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		firstErr error
+		wg   sync.WaitGroup
+		pool poolState
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
+	fail := func(err error) { pool.fail(err, cancel) }
 
 	cellsPerWorkload := len(g.Conds) * len(g.Variants)
 	worker := func() {
@@ -226,12 +217,7 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 				fail(err)
 				return
 			}
-			mu.Lock()
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, total)
-			}
-			mu.Unlock()
+			pool.completed(cfg.Progress, total)
 		}
 	}
 	wg.Add(workers)
@@ -250,6 +236,7 @@ feed:
 	close(jobs)
 	wg.Wait()
 
+	done, firstErr := pool.result()
 	if firstErr != nil {
 		return firstErr
 	}
@@ -257,6 +244,40 @@ feed:
 		return fmt.Errorf("experiments: sweep canceled after %d/%d cells: %w", done, total, err)
 	}
 	return nil
+}
+
+// poolState is the worker pool's shared completion state.
+type poolState struct {
+	mu       sync.Mutex // also serializes Progress
+	done     int        // guarded by mu
+	firstErr error      // guarded by mu
+}
+
+// fail latches the first error and cancels the run.
+func (p *poolState) fail(err error, cancel context.CancelFunc) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.firstErr == nil {
+		p.firstErr = err
+		cancel()
+	}
+}
+
+// completed counts one finished cell and reports progress against total.
+func (p *poolState) completed(progress func(done, total int), total int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	if progress != nil {
+		progress(p.done, total)
+	}
+}
+
+// result returns the completed-cell count and the first error.
+func (p *poolState) result() (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.done, p.firstErr
 }
 
 // normalizeStripe fills Cell.Normalized for one (workload, condition)

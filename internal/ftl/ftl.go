@@ -50,6 +50,17 @@ const (
 	ppnValidBit  = uint64(1) << 63
 )
 
+// The mapping table is split into chunks of 1<<chunkBits entries, each
+// allocated on its first explicit mapping.
+const (
+	chunkBits = 9
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// chunk is one fixed-size slice of the mapping table.
+type chunk [chunkSize]uint64
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.Dies < 1 || c.PlanesPerDie < 1 || c.BlocksPerPlane < 2 || c.PagesPerBlock < 1 {
@@ -115,13 +126,15 @@ func unpackPPN(e uint64) PPN {
 type FTL struct {
 	cfg Config
 	// table is the LPN → PPN map: packed PPN | ppnValidBit, zero meaning
-	// not placed. LPNs are dense (workloads address a contiguous
-	// footprint), so a flat slice indexed by LPN makes a lookup a bounds
-	// check and a shift. It stores only pages placed explicitly (writes,
-	// GC relocations, lazy preconditioning), not the implicit prefix of
-	// PreconditionPrefix, and is allocated at maxLPN entries on the first
-	// such placement.
-	table  []uint64
+	// not placed. It stores only pages placed explicitly (writes, GC
+	// relocations, lazy preconditioning), not the implicit prefix of
+	// PreconditionPrefix. It is two-level: a top-level array of
+	// ceil(maxLPN / chunkSize) chunk pointers, allocated on the first
+	// placement, and each chunk allocated on the first placement inside
+	// it. A short run touching a few thousand LPNs then allocates a few
+	// chunks rather than a device-sized table, and a lookup is still two
+	// indexings and a shift.
+	table  []*chunk
 	blocks [][]blockMeta // [globalPlane][block]
 	planes []plane
 	// maxLPN bounds the logical address space to the device's physical page
@@ -190,8 +203,10 @@ func (f *FTL) Lookup(lpn int64) (PPN, bool) {
 		return InvalidPPN, false
 	}
 	if f.table != nil {
-		if e := f.table[lpn]; e&ppnValidBit != 0 {
-			return unpackPPN(e), true
+		if c := f.table[lpn>>chunkBits]; c != nil {
+			if e := c[lpn&chunkMask]; e&ppnValidBit != 0 {
+				return unpackPPN(e), true
+			}
 		}
 	}
 	if lpn < f.pre {
@@ -203,9 +218,14 @@ func (f *FTL) Lookup(lpn int64) (PPN, bool) {
 // set records an explicit mapping. The caller has range-checked lpn.
 func (f *FTL) set(lpn int64, p PPN) {
 	if f.table == nil {
-		f.table = make([]uint64, f.maxLPN)
+		f.table = make([]*chunk, (f.maxLPN+chunkMask)>>chunkBits)
 	}
-	f.table[lpn] = packPPN(p)
+	c := f.table[lpn>>chunkBits]
+	if c == nil {
+		c = new(chunk)
+		f.table[lpn>>chunkBits] = c
+	}
+	c[lpn&chunkMask] = packPPN(p)
 }
 
 // Mapped returns the number of mapped logical pages.

@@ -62,91 +62,88 @@ type Callback interface {
 	Fire(now Time, tag int)
 }
 
-type scheduled struct {
+// entry is one pending event's position in the heap: its (at, seq) sort
+// key and the index of the record holding its payload. It holds no
+// pointers, so sifting moves plain words — no GC write barriers, and the
+// comparator never dereferences a record.
+type entry struct {
 	at  Time
 	seq uint64 // insertion order breaks ties deterministically
+	rec int32
+}
+
+// record is an event's payload slot in the engine's slab: the closure or
+// (callback, tag) to fire and the event's current heap index (-1 when the
+// slot is free). Slots are recycled through an index free list as soon as
+// their event fires or is cancelled.
+type record struct {
 	fn  Event
 	cb  Callback
 	tag int
-	idx int
+	pos int32
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
-// comparator is a strict total order (seq is unique), so events pop in
-// exactly (at, seq) order no matter how the heap arranges itself internally
-// — determinism does not depend on the arity or sift details. Hand-rolling
-// (instead of container/heap) removes the per-comparison interface calls,
-// and the wider fan-out roughly halves the sift depth; together the heap
-// was the single hottest component of a simulation run.
-type eventHeap []*scheduled
-
+// heapArity is the fan-out of the hand-rolled min-heap. The comparator is a
+// strict total order over (at, seq) — seq is unique — so events pop in
+// exactly (at, seq) order no matter how the heap arranges itself
+// internally: determinism does not depend on the arity or sift details.
+// Hand-rolling (instead of container/heap) removes the per-comparison
+// interface calls, and the wider fan-out roughly halves the sift depth.
 const heapArity = 4
 
-func eventLess(a, b *scheduled) bool {
+func entryLess(a, b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(s *scheduled) {
-	s.idx = len(*h)
-	*h = append(*h, s)
-	h.siftUp(s.idx)
+// place stores x at heap index i and records the index in x's slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.recs[x.rec].pos = int32(i)
 }
 
-func (h *eventHeap) pop() *scheduled {
-	old := *h
-	s := old[0]
-	n := len(old) - 1
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		last.idx = 0
-		old[0] = last
-		h.siftDown(0)
-	}
-	s.idx = -1
-	return s
+func (e *Engine) push(x entry) {
+	e.heap = append(e.heap, x)
+	e.siftUp(len(e.heap)-1, x)
 }
 
-// remove deletes the event at index i (the Cancel path).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	s := old[i]
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
+// removeAt deletes the entry at heap index i (the top for Step, anywhere
+// for Cancel) and marks its slot as out of the heap.
+func (e *Engine) removeAt(i int) entry {
+	x := e.heap[i]
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
 	if i < n {
-		last.idx = i
-		old[i] = last
-		h.siftDown(i)
-		h.siftUp(last.idx)
+		e.siftDown(i, last)
+		if e.heap[i] == last {
+			e.siftUp(i, last)
+		}
 	}
-	s.idx = -1
+	e.recs[x.rec].pos = -1
+	return x
 }
 
-func (h eventHeap) siftUp(i int) {
-	s := h[i]
+// siftUp moves x, destined for index i, toward the root.
+func (e *Engine) siftUp(i int, x entry) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		p := h[parent]
-		if !eventLess(s, p) {
+		p := e.heap[parent]
+		if !entryLess(x, p) {
 			break
 		}
-		h[i] = p
-		p.idx = i
+		e.place(i, p)
 		i = parent
 	}
-	h[i] = s
-	s.idx = i
+	e.place(i, x)
 }
 
-func (h eventHeap) siftDown(i int) {
+// siftDown moves x, destined for index i, toward the leaves.
+func (e *Engine) siftDown(i int, x entry) {
+	h := e.heap
 	n := len(h)
-	s := h[i]
 	for {
 		first := i*heapArity + 1
 		if first >= n {
@@ -158,33 +155,33 @@ func (h eventHeap) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventLess(h[c], h[min]) {
+			if entryLess(h[c], h[min]) {
 				min = c
 			}
 		}
-		if !eventLess(h[min], s) {
+		if !entryLess(h[min], x) {
 			break
 		}
-		h[i] = h[min]
-		h[i].idx = i
+		e.place(i, h[min])
 		i = min
 	}
-	h[i] = s
-	s.idx = i
+	e.place(i, x)
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same instant fire in scheduling order, making runs fully deterministic.
 // The zero value is ready to use.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	fired  uint64
-	// free recycles fired pooled events: an SSD run schedules one event per
-	// plan operation across millions of reads, and the free list keeps that
-	// from being one heap allocation each.
-	free []*scheduled
+	now   Time
+	seq   uint64
+	heap  []entry
+	fired uint64
+	// recs is the payload slab the heap's entries index, and free lists
+	// its unused slots: an SSD run schedules one event per plan operation
+	// across millions of reads, and recycling slots keeps that from being
+	// one heap allocation each.
+	recs []record
+	free []int32
 }
 
 // Now returns the current simulated time.
@@ -194,88 +191,100 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule enqueues fn to run at time at. Scheduling in the past (before the
 // current clock) panics: it always indicates a model bug, and silently
 // reordering time would corrupt every latency statistic downstream.
 func (e *Engine) Schedule(at Time, fn Event) *Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	s := e.get(at)
-	s.fn = fn
-	e.events.push(s)
-	return &Handle{engine: e, ev: s}
+	h := e.schedule(at, record{fn: fn})
+	return &h
 }
 
 // ScheduleTag enqueues cb.Fire(at, tag) without allocating a closure or a
-// Handle; the event record is pooled. Ordering semantics are identical to
+// Handle; the event's slot is pooled. Ordering semantics are identical to
 // Schedule: same-instant events fire in scheduling order.
 func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
+	e.schedule(at, record{cb: cb, tag: tag})
+}
+
+// ScheduleTagHandle is ScheduleTag returning a cancellation Handle by value,
+// so a cancellable event costs no allocation either.
+func (e *Engine) ScheduleTagHandle(at Time, cb Callback, tag int) Handle {
+	return e.schedule(at, record{cb: cb, tag: tag})
+}
+
+// schedule stores r in a fresh or recycled slot and pushes its entry,
+// stamped with the next sequence number.
+func (e *Engine) schedule(at Time, r record) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	s := e.get(at)
-	s.cb = cb
-	s.tag = tag
-	e.events.push(s)
-}
-
-// get returns a fresh or recycled event record stamped with the next
-// sequence number.
-func (e *Engine) get(at Time) *scheduled {
-	var s *scheduled
+	var rec int32
 	if n := len(e.free); n > 0 {
-		s = e.free[n-1]
+		rec = e.free[n-1]
 		e.free = e.free[:n-1]
-		*s = scheduled{}
+		e.recs[rec] = r
 	} else {
-		s = &scheduled{}
+		rec = int32(len(e.recs))
+		e.recs = append(e.recs, r)
 	}
-	s.at = at
-	s.seq = e.seq
+	x := entry{at: at, seq: e.seq, rec: rec}
 	e.seq++
-	return s
+	e.push(x)
+	return Handle{engine: e, rec: rec, seq: x.seq}
 }
 
-// Handle allows cancelling a scheduled event.
+// release clears a slot that has left the heap and returns it to the free
+// list.
+func (e *Engine) release(rec int32) {
+	r := &e.recs[rec]
+	r.fn, r.cb = nil, nil
+	e.free = append(e.free, rec)
+}
+
+// Handle allows cancelling a scheduled event. It names the event's slot and
+// sequence number: once the event fires or is cancelled the slot may be
+// recycled for a later event, but that event's sequence number differs, so
+// a stale Handle can never cancel it. The zero Handle cancels nothing.
 type Handle struct {
 	engine *Engine
-	ev     *scheduled
+	rec    int32
+	seq    uint64
 }
 
 // Cancel removes the event if it has not fired. It reports whether the event
 // was actually cancelled.
 func (h *Handle) Cancel() bool {
-	if h.ev == nil || h.ev.idx < 0 || h.ev.idx >= len(h.engine.events) ||
-		h.engine.events[h.ev.idx] != h.ev {
+	e := h.engine
+	if e == nil {
 		return false
 	}
-	h.engine.events.remove(h.ev.idx)
-	h.ev.idx = -1
+	pos := e.recs[h.rec].pos
+	if pos < 0 || e.heap[pos].seq != h.seq {
+		return false
+	}
+	e.removeAt(int(pos))
+	e.release(h.rec)
 	return true
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
 // reports false when no events remain.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	s := e.events.pop()
-	e.now = s.at
+	x := e.removeAt(0)
+	e.now = x.at
 	e.fired++
-	if s.cb == nil {
-		s.fn(e.now)
-		return true
+	r := e.recs[x.rec]
+	e.release(x.rec)
+	if r.cb != nil {
+		r.cb.Fire(e.now, r.tag)
+	} else {
+		r.fn(e.now)
 	}
-	// Only ScheduleTag records are recycled: a Schedule record is left to
-	// the garbage collector, since its Handle may still reference it.
-	cb, tag := s.cb, s.tag
-	s.cb = nil
-	e.free = append(e.free, s)
-	cb.Fire(e.now, tag)
 	return true
 }
 
@@ -295,7 +304,7 @@ func (e *Engine) RunBefore(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: running to %v before now %v", t, e.now))
 	}
-	for len(e.events) > 0 && e.events[0].at < t {
+	for len(e.heap) > 0 && e.heap[0].at < t {
 		e.Step()
 	}
 	e.now = t

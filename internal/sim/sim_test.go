@@ -90,8 +90,9 @@ func TestCancelAfterFire(t *testing.T) {
 	var e Engine
 	h := e.Schedule(10, func(Time) {})
 	e.Run()
-	// A fired Schedule record is never recycled, so the stale Handle cannot
-	// reach a pooled event that reuses the engine's free list.
+	// The fired event's slot is recycled by the pooled event below; the
+	// stale Handle's sequence number no longer matches, so it cannot
+	// cancel it.
 	var cb counterCB
 	e.ScheduleTag(20, &cb, 0)
 	if h.Cancel() {
@@ -100,6 +101,52 @@ func TestCancelAfterFire(t *testing.T) {
 	e.Run()
 	if cb.n != 1 {
 		t.Errorf("pooled event after a stale Cancel fired %d times, want 1", cb.n)
+	}
+}
+
+func TestStaleHandleAfterRecycle(t *testing.T) {
+	var e Engine
+	h := e.Schedule(10, func(Time) {})
+	e.Run()
+	// A cancelled event's slot is recycled just like a fired one's.
+	hc := e.Schedule(15, func(Time) {})
+	if !hc.Cancel() {
+		t.Fatal("Cancel returned false for a pending event")
+	}
+	fired := 0
+	later := e.Schedule(20, func(Time) { fired++ })
+	if later.rec != h.rec || later.rec != hc.rec {
+		t.Fatalf("later event took slot %d, want the recycled slot %d", later.rec, h.rec)
+	}
+	if h.Cancel() || hc.Cancel() {
+		t.Error("a stale Handle cancelled the event that recycled its slot")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after stale Cancels, want 1", e.Pending())
+	}
+	e.Run()
+	if fired != 1 {
+		t.Errorf("recycled-slot event fired %d times, want 1", fired)
+	}
+	if later.Cancel() {
+		t.Error("Cancel after fire should return false")
+	}
+	var zero Handle
+	if zero.Cancel() {
+		t.Error("the zero Handle cancelled an event")
+	}
+	// A value Handle from ScheduleTagHandle cancels the same way.
+	var cb counterCB
+	v := e.ScheduleTagHandle(30, &cb, 0)
+	if v.rec != later.rec {
+		t.Fatalf("tag event took slot %d, want the recycled slot %d", v.rec, later.rec)
+	}
+	if later.Cancel() || !v.Cancel() || v.Cancel() {
+		t.Error("value Handle: want stale Cancel false, first Cancel true, second false")
+	}
+	e.Run()
+	if cb.n != 0 {
+		t.Errorf("cancelled tag event fired %d times", cb.n)
 	}
 }
 

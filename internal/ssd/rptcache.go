@@ -23,10 +23,13 @@ func rptConfigFingerprint(c rpt.Config) string {
 		c.PECBounds, c.RetBounds, c.SafetyMarginBits, c.ProfileTempC, c.MaxLevel)
 }
 
-var rptMemo = struct {
-	sync.Mutex
-	m map[rptMemoKey]*rpt.Table
-}{m: make(map[rptMemoKey]*rpt.Table)}
+// rptMemoTable holds the profiled tables shared across devices.
+type rptMemoTable struct {
+	mu sync.Mutex
+	m  map[rptMemoKey]*rpt.Table // guarded by mu
+}
+
+var rptMemo = rptMemoTable{m: make(map[rptMemoKey]*rpt.Table)}
 
 // profiledTable returns the memoized RPT for the model, profiling it on
 // first use. Every adaptive-scheme cell of a sweep used to re-profile the
@@ -35,15 +38,22 @@ var rptMemo = struct {
 // read-only) result.
 func profiledTable(model *vth.Model, params vth.Params, seed uint64, cfg rpt.Config) (*rpt.Table, error) {
 	key := rptMemoKey{params: params, seed: seed, cfg: rptConfigFingerprint(cfg)}
-	rptMemo.Lock()
-	defer rptMemo.Unlock()
-	if t, ok := rptMemo.m[key]; ok {
+	return rptMemo.get(key, func() (*rpt.Table, error) { return rpt.Profile(model, cfg) })
+}
+
+// get returns the table stored under key, storing profile's result on a
+// miss. Profiling runs under the lock, so concurrent cells needing the same
+// table profile it once.
+func (m *rptMemoTable) get(key rptMemoKey, profile func() (*rpt.Table, error)) (*rpt.Table, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t, ok := m.m[key]; ok {
 		return t, nil
 	}
-	t, err := rpt.Profile(model, cfg)
+	t, err := profile()
 	if err != nil {
 		return nil, err
 	}
-	rptMemo.m[key] = t
+	m.m[key] = t
 	return t, nil
 }

@@ -34,8 +34,10 @@ type SSD struct {
 	// execFree recycles plan executors: a read's scratch (waiting counts)
 	// is returned here when its last operation completes, so the
 	// steady-state read loop reuses a handful of executors instead of
-	// allocating per-read closure graphs.
+	// allocating per-read closure graphs. txnFree does the same for host
+	// page transactions, which return here when their page completes.
 	execFree []*planExec
+	txnFree  []*txn
 
 	// metrics is the per-physical-address retry accounting layer
 	// (Config.RetryMetrics); nil when disabled. history holds each block's
@@ -66,7 +68,7 @@ func New(cfg Config) (*SSD, error) {
 		c.SetFastPath(!cfg.DisableReadFastPath)
 		c.SetCondition(cfg.PEC, cfg.RetentionMonths, cfg.TempC)
 		s.chips = append(s.chips, c)
-		s.dies = append(s.dies, &die{id: d, channel: d / cfg.DiesPerChannel})
+		s.dies = append(s.dies, &die{s: s, id: d, channel: d / cfg.DiesPerChannel})
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		s.channels = append(s.channels, &resourceQueue{eng: s.eng})
@@ -138,13 +140,19 @@ func (s *SSD) RPT() *rpt.Table { return s.table }
 // same instant (DESIGN.md §3). The heap thus holds only in-flight events.
 func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 	reqs := make([]request, len(recs))
+	reads := 0
 	for i := range recs {
 		r := &recs[i]
 		if r.Arrival < 0 {
 			return nil, fmt.Errorf("ssd: record %d arrives at %v, before time 0", i, r.Arrival)
 		}
 		reqs[i] = newRequest(r)
+		if !r.Write {
+			reads++
+		}
 	}
+	// Every read request adds one response-time sample when it completes.
+	s.stats.readSamples = slices.Grow(s.stats.readSamples, reads)
 	byArrival := func(a, b request) int { return cmp.Compare(a.arrival, b.arrival) }
 	if !slices.IsSortedFunc(reqs, byArrival) {
 		slices.SortStableFunc(reqs, byArrival)
@@ -184,7 +192,7 @@ func (s *SSD) finish() (*Stats, error) {
 func (s *SSD) pendingTxns() int {
 	n := 0
 	for _, d := range s.dies {
-		n += len(d.readQ) + len(d.writeQ) + len(d.gcQ)
+		n += d.readQ.len() + d.writeQ.len() + d.gcQ.len()
 		if d.busy {
 			n++
 		}
@@ -236,8 +244,19 @@ const (
 	txnGCErase
 )
 
+// newTxn returns a zeroed transaction, recycled when one is free.
+func (s *SSD) newTxn() *txn {
+	if n := len(s.txnFree); n > 0 {
+		t := s.txnFree[n-1]
+		s.txnFree = s.txnFree[:n-1]
+		return t
+	}
+	return &txn{}
+}
+
 // die is the per-die scheduler state.
 type die struct {
+	s       *SSD
 	id      int
 	channel int
 	busy    bool
@@ -247,28 +266,66 @@ type die struct {
 	// chip (for the reduced-regular-read extension's SET FEATURE
 	// accounting).
 	lastPreLevel int
-	readQ        []*txn
-	writeQ       []*txn
-	gcQ          []*txn
-	// suspended holds a program/erase op interrupted by reads.
-	suspended *suspendedOp
-	// suspendable is non-nil while the current txn sits in an
-	// interruptible die phase (program or erase).
-	suspendable *suspendPoint
+	readQ        fifo[*txn]
+	writeQ       fifo[*txn]
+	gcQ          fifo[*txn]
+	// write is the host write in flight on the die, from its channel
+	// transfer to the end of its program phase.
+	write *txn
+	// phase is the die's suspendable program or erase.
+	phase       phase
 	gcActive    []bool  // per plane: a collection job is in flight
 	gcMovesLeft []gcJob // outstanding relocation counts per collection job
 }
 
-type suspendPoint struct {
-	handle    *sim.Handle
-	endsAt    sim.Time
-	onResume  func(remaining sim.Time)
-	completed bool
+// phase is the suspendable (program or erase) part of a die's current
+// transaction. A die runs at most one at a time: the die stays busy until
+// the phase ends, and a suspended phase resumes before any other write or
+// collection is dispatched, so one phase per die is reused in place.
+type phase struct {
+	state  phaseState
+	handle sim.Handle // the pending completion while running
+	endsAt sim.Time   // completion time while running
+	left   sim.Time   // remaining duration while suspended
+	// onDone continues a collection job when the phase ends; nil means the
+	// phase is the program of the die's host write.
+	onDone func(sim.Time)
 }
 
-type suspendedOp struct {
-	remaining sim.Time
-	resume    func(remaining sim.Time)
+type phaseState uint8
+
+const (
+	phaseIdle phaseState = iota
+	phaseRunning
+	phaseSuspended
+)
+
+// Tags of the die's own events (die.Fire).
+const (
+	dieWriteDMA  = iota // the host write's channel transfer ended
+	diePhaseDone        // the program or erase phase ended
+)
+
+// Fire implements sim.Callback for the die's host write path and its
+// program/erase phase, which need no per-operation closures.
+func (d *die) Fire(now sim.Time, tag int) {
+	s := d.s
+	switch tag {
+	case dieWriteDMA:
+		s.programPhase(d, chipAddr(d.write.ppn), now, nil)
+	case diePhaseDone:
+		d.phase.state = phaseIdle
+		if done := d.phase.onDone; done != nil {
+			d.phase.onDone = nil
+			done(now)
+			return
+		}
+		t := d.write
+		d.write = nil
+		ppn := t.ppn
+		s.completePage(t, now)
+		s.afterWrite(d, ppn, now)
+	}
 }
 
 // setBusy and setIdle guard the die's busy flag while accumulating busy
@@ -293,7 +350,8 @@ func (s *SSD) submit(req *request, now sim.Time) {
 	s.stats.Submitted++
 	for i := 0; i < req.pages; i++ {
 		lpn := req.lpn + int64(i)
-		t := &txn{lpn: lpn, req: req}
+		t := s.newTxn()
+		t.lpn, t.req = lpn, req
 		if req.write {
 			t.kind = txnWrite
 		} else {
@@ -317,35 +375,31 @@ func (s *SSD) enqueue(d *die, t *txn, now sim.Time) {
 	t.enqueuedAt = now
 	switch t.kind {
 	case txnRead:
-		d.readQ = append(d.readQ, t)
+		d.readQ.push(t)
 		// Out-of-order read priority: an arriving read may suspend an
 		// in-flight program/erase (§7.2's baseline features).
-		if !s.cfg.DisableSuspension && d.busy && d.suspendable != nil {
+		if !s.cfg.DisableSuspension && d.busy && d.phase.state == phaseRunning {
 			s.suspendCurrent(d, now)
 		}
 	case txnWrite:
-		d.writeQ = append(d.writeQ, t)
+		d.writeQ.push(t)
 	default:
-		d.gcQ = append(d.gcQ, t)
+		d.gcQ.push(t)
 	}
 	s.dispatch(d, now)
 }
 
 // suspendCurrent interrupts the die's current program/erase.
 func (s *SSD) suspendCurrent(d *die, now sim.Time) {
-	sp := d.suspendable
-	if sp == nil || sp.completed || d.suspended != nil {
+	p := &d.phase
+	if p.state != phaseRunning {
 		return
 	}
-	if !sp.handle.Cancel() {
+	if !p.handle.Cancel() {
 		return // completion already fired this instant
 	}
-	remaining := sp.endsAt - now
-	if remaining < 0 {
-		remaining = 0
-	}
-	d.suspended = &suspendedOp{remaining: remaining, resume: sp.onResume}
-	d.suspendable = nil
+	p.state = phaseSuspended
+	p.left = max(p.endsAt-now, 0)
 	s.setIdle(d, now)
 	s.stats.Suspensions++
 	s.dispatch(d, now)
@@ -358,50 +412,37 @@ func (s *SSD) dispatch(d *die, now sim.Time) {
 	if d.busy {
 		return
 	}
-	if len(d.readQ) > 0 && !s.cfg.DisableReadPrio {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if d.readQ.len() > 0 && !s.cfg.DisableReadPrio {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if d.suspended != nil {
-		op := d.suspended
-		d.suspended = nil
+	if d.phase.state == phaseSuspended {
+		d.phase.state = phaseIdle
 		s.setBusy(d, now)
-		op.resume(op.remaining)
+		s.runPhase(d, s.eng.Now(), d.phase.left)
 		return
 	}
-	if s.gcUrgent(d) && len(d.gcQ) > 0 {
-		t := d.gcQ[0]
-		d.gcQ = d.gcQ[1:]
-		s.startGC(d, t, now)
+	if s.gcUrgent(d) && d.gcQ.len() > 0 {
+		s.startGC(d, d.gcQ.pop(), now)
 		return
 	}
 	// FIFO order across reads and writes when read priority is disabled:
 	// serve whichever queued host transaction arrived first.
-	if s.cfg.DisableReadPrio && len(d.readQ) > 0 &&
-		(len(d.writeQ) == 0 || d.readQ[0].seq < d.writeQ[0].seq) {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if s.cfg.DisableReadPrio && d.readQ.len() > 0 &&
+		(d.writeQ.len() == 0 || d.readQ.peek().seq < d.writeQ.peek().seq) {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if len(d.writeQ) > 0 {
-		t := d.writeQ[0]
-		d.writeQ = d.writeQ[1:]
-		s.startWrite(d, t, now)
+	if d.writeQ.len() > 0 {
+		s.startWrite(d, d.writeQ.pop(), now)
 		return
 	}
-	if s.cfg.DisableReadPrio && len(d.readQ) > 0 {
-		t := d.readQ[0]
-		d.readQ = d.readQ[1:]
-		s.startRead(d, t, now)
+	if s.cfg.DisableReadPrio && d.readQ.len() > 0 {
+		s.startRead(d, d.readQ.pop(), now)
 		return
 	}
-	if len(d.gcQ) > 0 {
-		t := d.gcQ[0]
-		d.gcQ = d.gcQ[1:]
-		s.startGC(d, t, now)
+	if d.gcQ.len() > 0 {
+		s.startGC(d, d.gcQ.pop(), now)
 		return
 	}
 }
@@ -591,16 +632,15 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 	}
 	now = start
 
-	finish := func(sim.Time) {
-		s.setIdle(d, s.eng.Now())
-		s.dispatch(d, s.eng.Now())
+	if !oc.fallback && !s.cfg.DisableReadFastPath {
+		// The pooled executor completes the page and frees the die itself.
+		x := s.newExec(d, core.CachedPlan(s.cfg.Scheme, oc.nrr, oc.timings, s.cfg.CoreOpts))
+		x.hostRead, x.read, x.serviceStart = true, t, serviceStart
+		x.start(now)
+		return
 	}
-	respond := func(done sim.Time) {
-		if t.req != nil {
-			s.stats.ReadService.Add((done - serviceStart).Microseconds())
-		}
-		s.completePage(t, done)
-	}
+	finish := func(sim.Time) { s.releaseDie(d, s.eng.Now()) }
+	respond := func(done sim.Time) { s.respondRead(t, serviceStart, done) }
 	if oc.fallback {
 		// Chain the default-timing re-read after the failed reduced pass.
 		s.stats.AR2Fallbacks++
@@ -610,6 +650,22 @@ func (s *SSD) startRead(d *die, t *txn, now sim.Time) {
 		return
 	}
 	s.execute(d, s.cfg.Scheme, oc.nrr, oc.timings, now, respond, finish)
+}
+
+// respondRead completes a host page read whose service began at
+// serviceStart.
+func (s *SSD) respondRead(t *txn, serviceStart, done sim.Time) {
+	if t.req != nil {
+		s.stats.ReadService.Add((done - serviceStart).Microseconds())
+	}
+	s.completePage(t, done)
+}
+
+// releaseDie frees the die at the end of a read and dispatches its next
+// transaction.
+func (s *SSD) releaseDie(d *die, now sim.Time) {
+	s.setIdle(d, now)
+	s.dispatch(d, now)
 }
 
 // execute runs the controller plan for one page read. The fast path fetches
@@ -623,7 +679,9 @@ func (s *SSD) execute(d *die, scheme core.Scheme, nrr int, tm core.StepTimings,
 		s.runPlanSlow(d, core.BuildPlan(scheme, nrr, tm, s.cfg.CoreOpts), start, onResponse, onRelease)
 		return
 	}
-	s.runPlan(d, core.CachedPlan(scheme, nrr, tm, s.cfg.CoreOpts), start, onResponse, onRelease)
+	x := s.newExec(d, core.CachedPlan(scheme, nrr, tm, s.cfg.CoreOpts))
+	x.onResponse, x.onRelease = onResponse, onRelease
+	x.start(start)
 }
 
 // planExec drives one shared, immutable plan. All mutable state — the
@@ -633,19 +691,28 @@ func (s *SSD) execute(d *die, scheme core.Scheme, nrr int, tm core.StepTimings,
 // regular plan releases the die at its final DMA while its last ECC decode
 // is still pending), which is why the scratch is pooled rather than per-die.
 type planExec struct {
-	s          *SSD
-	d          *die
-	plan       *core.Plan
-	waiting    []int32
-	remaining  int
-	onResponse func(sim.Time)
-	onRelease  func(sim.Time)
+	s         *SSD
+	d         *die
+	plan      *core.Plan
+	waiting   []int32
+	remaining int
+	// hostRead marks a fast-path host read: at the plan's response op the
+	// read's page completes (service time measured from serviceStart), and
+	// at its release op the die is freed, with no closures. read is
+	// cleared once the page has completed. Other plans (AR² fallback, GC
+	// moves) continue through onResponse at the host-visible completion and
+	// onRelease when the die is free again.
+	hostRead     bool
+	read         *txn
+	serviceStart sim.Time
+	onResponse   func(sim.Time)
+	onRelease    func(sim.Time)
 }
 
-// runPlan executes a memoized controller plan starting at start. onResponse
-// fires at the host-visible completion, onRelease when the die is free
-// again.
-func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, onResponse, onRelease func(sim.Time)) {
+// newExec takes a free executor (or makes one) and readies it to drive a
+// memoized controller plan on d; the caller sets the continuations and
+// calls start.
+func (s *SSD) newExec(d *die, plan *core.Plan) *planExec {
 	var x *planExec
 	if n := len(s.execFree); n > 0 {
 		x = s.execFree[n-1]
@@ -654,7 +721,6 @@ func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, onResponse, onRel
 		x = &planExec{s: s}
 	}
 	x.d, x.plan = d, plan
-	x.onResponse, x.onRelease = onResponse, onRelease
 	n := len(plan.Ops)
 	if cap(x.waiting) < n {
 		x.waiting = make([]int32, n)
@@ -665,9 +731,14 @@ func (s *SSD) runPlan(d *die, plan *core.Plan, start sim.Time, onResponse, onRel
 		x.waiting[i] = int32(len(plan.Ops[i].Deps))
 	}
 	x.remaining = n
-	for i := range plan.Ops {
+	return x
+}
+
+// start issues every operation of the plan without dependencies at at.
+func (x *planExec) start(at sim.Time) {
+	for i := range x.plan.Ops {
 		if x.waiting[i] == 0 {
-			x.startOp(i, start)
+			x.startOp(i, at)
 		}
 	}
 }
@@ -686,11 +757,20 @@ func (x *planExec) startOp(i int, at sim.Time) {
 
 // Fire implements sim.Callback: operation i of the plan completed at t.
 func (x *planExec) Fire(t sim.Time, i int) {
-	if i == x.plan.ResponseOp && x.onResponse != nil {
-		x.onResponse(t)
+	if i == x.plan.ResponseOp {
+		if x.hostRead {
+			x.s.respondRead(x.read, x.serviceStart, t)
+			x.read = nil
+		} else if x.onResponse != nil {
+			x.onResponse(t)
+		}
 	}
-	if i == x.plan.ReleaseOp && x.onRelease != nil {
-		x.onRelease(t)
+	if i == x.plan.ReleaseOp {
+		if x.hostRead {
+			x.s.releaseDie(x.d, t)
+		} else if x.onRelease != nil {
+			x.onRelease(t)
+		}
 	}
 	for _, dep := range x.plan.Dependents(i) {
 		x.waiting[dep]--
@@ -701,6 +781,7 @@ func (x *planExec) Fire(t sim.Time, i int) {
 	x.remaining--
 	if x.remaining == 0 {
 		x.onResponse, x.onRelease, x.plan, x.d = nil, nil, nil, nil
+		x.hostRead = false
 		x.s.execFree = append(x.s.execFree, x)
 	}
 }
@@ -761,41 +842,38 @@ func (s *SSD) startWrite(d *die, t *txn, now sim.Time) {
 	}
 	t.ppn = ppn
 	s.stats.PageWrites++
-	s.channels[d.channel].acquire(now, s.cfg.Timing.TDMA, func(end sim.Time) {
-		s.programPhase(d, chipAddr(ppn), end, func(done sim.Time) {
-			s.completePage(t, done)
-			s.afterWrite(d, ppn, done)
-		})
-	})
+	// The die's own events carry the write on: the end of this transfer
+	// starts the program (die.Fire), whose end completes the page.
+	d.write = t
+	s.channels[d.channel].acquireTag(now, s.cfg.Timing.TDMA, d, dieWriteDMA)
 }
 
-// programPhase runs the suspendable tPROG portion on the die.
+// programPhase runs the suspendable tPROG portion on the die. A nil onDone
+// completes the die's host write.
 func (s *SSD) programPhase(d *die, addr nand.Address, start sim.Time, onDone func(sim.Time)) {
 	c := s.chips[d.id]
 	dur := c.Program(addr) // resets the block's retention age
 	s.dieBusyPhase(d, start, dur, onDone)
 }
 
-// dieBusyPhase occupies the die for dur, allowing suspension by reads.
+// dieBusyPhase occupies the die for dur, allowing suspension by reads, then
+// calls onDone (nil: completes the die's host write).
 func (s *SSD) dieBusyPhase(d *die, start sim.Time, dur sim.Time, onDone func(sim.Time)) {
-	var run func(at, remaining sim.Time)
-	run = func(at, remaining sim.Time) {
-		end := at + remaining
-		sp := &suspendPoint{endsAt: end}
-		sp.onResume = func(left sim.Time) { run(s.eng.Now(), left) }
-		sp.handle = s.eng.Schedule(end, func(t sim.Time) {
-			sp.completed = true
-			d.suspendable = nil
-			onDone(t)
-		})
-		d.suspendable = sp
-		// Reads that arrived while this transaction was in its transfer
-		// phase suspend it the moment the die phase begins.
-		if !s.cfg.DisableSuspension && len(d.readQ) > 0 {
-			s.suspendCurrent(d, s.eng.Now())
-		}
+	d.phase.onDone = onDone
+	s.runPhase(d, start, dur)
+}
+
+// runPhase runs (or resumes) the die's phase for its remaining duration.
+func (s *SSD) runPhase(d *die, at, remaining sim.Time) {
+	p := &d.phase
+	p.state = phaseRunning
+	p.endsAt = at + remaining
+	p.handle = s.eng.ScheduleTagHandle(p.endsAt, d, diePhaseDone)
+	// Reads that arrived while this transaction was in its transfer
+	// phase suspend it the moment the die phase begins.
+	if !s.cfg.DisableSuspension && d.readQ.len() > 0 {
+		s.suspendCurrent(d, s.eng.Now())
 	}
-	run(start, dur)
 }
 
 // afterWrite finishes a write transaction: free the die and kick GC if the
@@ -912,18 +990,22 @@ func (s *SSD) runGCErase(d *die, t *txn, now sim.Time) {
 	})
 }
 
-// completePage accounts a finished host page transaction.
+// completePage accounts a finished host page transaction and recycles t,
+// which the caller must not use afterwards.
 func (s *SSD) completePage(t *txn, done sim.Time) {
-	if t.req == nil {
+	req := t.req
+	if req == nil {
 		return
 	}
-	t.req.remaining--
-	if t.req.remaining > 0 {
+	*t = txn{}
+	s.txnFree = append(s.txnFree, t)
+	req.remaining--
+	if req.remaining > 0 {
 		return
 	}
-	resp := (done - t.req.arrival).Microseconds()
+	resp := (done - req.arrival).Microseconds()
 	s.stats.All.Add(resp)
-	if t.req.write {
+	if req.write {
 		s.stats.Writes.Add(resp)
 	} else {
 		s.stats.Reads.Add(resp)
@@ -940,7 +1022,7 @@ type resourceQueue struct {
 	eng      *sim.Engine
 	busy     bool
 	freeAt   sim.Time
-	queue    []pendingAcquire
+	queue    fifo[pendingAcquire]
 	busyTime sim.Time
 	// cur{Done,CB,Tag} describe the in-flight occupant (exactly one while
 	// busy): either a done closure or a (callback, tag) pair.
@@ -960,7 +1042,7 @@ type pendingAcquire struct {
 // fires when the occupancy ends.
 func (r *resourceQueue) acquire(at sim.Time, dur sim.Time, done func(end sim.Time)) {
 	if r.busy {
-		r.queue = append(r.queue, pendingAcquire{dur: dur, done: done})
+		r.queue.push(pendingAcquire{dur: dur, done: done})
 		return
 	}
 	r.grant(at, dur, done, nil, 0)
@@ -970,7 +1052,7 @@ func (r *resourceQueue) acquire(at sim.Time, dur sim.Time, done func(end sim.Tim
 // runs when the occupancy ends.
 func (r *resourceQueue) acquireTag(at sim.Time, dur sim.Time, cb sim.Callback, tag int) {
 	if r.busy {
-		r.queue = append(r.queue, pendingAcquire{dur: dur, cb: cb, tag: tag})
+		r.queue.push(pendingAcquire{dur: dur, cb: cb, tag: tag})
 		return
 	}
 	r.grant(at, dur, nil, cb, tag)
@@ -1004,10 +1086,41 @@ func (r *resourceQueue) Fire(t sim.Time, _ int) {
 
 func (r *resourceQueue) release(now sim.Time) {
 	r.busy = false
-	if len(r.queue) == 0 {
+	if r.queue.len() == 0 {
 		return
 	}
-	next := r.queue[0]
-	r.queue = r.queue[1:]
+	next := r.queue.pop()
 	r.grant(now, next.dur, next.done, next.cb, next.tag)
+}
+
+// fifo is a queue that reuses its backing array: pops advance a head index,
+// the array is reset when the queue empties and compacted once the head
+// passes half its length, so a queue in steady state stops allocating.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+// peek returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) peek() T { return q.items[q.head] }
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head > len(q.items)/2:
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
 }

@@ -10,8 +10,10 @@
 # Defaults: the next BENCH_PR<n>.json after the highest one committed in
 # the repository root (BENCH_PR1.json when none exist), -benchtime 5x. The
 # JSON maps each benchmark to {ns_per_op, bytes_per_op, allocs_per_op};
-# custom metrics (mean_nrr, workers, …) are ignored. Compare a fresh run
-# against the latest committed BENCH_PR*.json to spot regressions.
+# custom metrics (mean_nrr, workers, …) are ignored. An "_env" entry
+# records the machine the numbers came from: CPU model, nproc, GOMAXPROCS
+# and Go version. Absolute numbers compare only between runs with the same
+# "_env"; across machines, compare ratios within one file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,6 +43,16 @@ $macro"
 
 echo "$raw"
 
+# Machine metadata, JSON-escaped (backslashes and quotes). It reaches awk
+# through the environment, which, unlike -v, keeps backslashes as they are.
+json_escape() { sed 's/\\/\\\\/g; s/"/\\"/g'; }
+cpu=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+export BENCH_CPU BENCH_NPROC BENCH_GOMAXPROCS BENCH_GO
+BENCH_CPU=$(printf '%s' "${cpu:-$(uname -m)}" | json_escape)
+BENCH_NPROC=$(nproc)
+BENCH_GOMAXPROCS=${GOMAXPROCS:-$BENCH_NPROC}
+BENCH_GO=$(go version | json_escape)
+
 echo "$raw" | awk '
   /^Benchmark/ {
     name = $1
@@ -57,7 +69,11 @@ echo "$raw" | awk '
         name, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
     }
   }
-  BEGIN { printf "{\n" }
+  BEGIN {
+    printf "{\n  \"_env\": {\"cpu\": \"%s\", \"nproc\": %s, \"gomaxprocs\": %s, \"go\": \"%s\"}", \
+      ENVIRON["BENCH_CPU"], ENVIRON["BENCH_NPROC"], ENVIRON["BENCH_GOMAXPROCS"], ENVIRON["BENCH_GO"]
+    n = 1
+  }
   END   { printf "\n}\n" }
 ' >"$out"
 
