@@ -4,12 +4,14 @@
 // is swept once through the fast path (precomputed error-model profiles,
 // memoized plans, pooled executor) and once through the preserved pre-PR
 // reference path, and the results must match bit for bit: every cell
-// DeepEqual, every streamed CSV byte identical.
+// DeepEqual, every streamed CSV byte identical, and the CSV equal to the
+// committed golden.
 package readretry_test
 
 import (
 	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -61,5 +63,14 @@ func TestFastPathFullGridBitIdentical(t *testing.T) {
 	}
 	if len(fastCSV) == 0 {
 		t.Fatal("differential sweep produced no CSV output")
+	}
+	// Both paths share the event engine, so only the golden catches a
+	// change to its event order.
+	golden, err := os.ReadFile("testdata/golden_fig14_tlc.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fastCSV, golden) {
+		t.Fatal("streamed CSV differs from testdata/golden_fig14_tlc.csv")
 	}
 }

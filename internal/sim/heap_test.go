@@ -6,12 +6,13 @@ import (
 	"readretry/internal/rng"
 )
 
-// TestHeapStressOrdering hammers the hand-rolled 4-ary heap with random
-// schedule times, interleaved cancellations, pooled (ScheduleTag, through
-// both a value and a pointer Callback) and Handle-carrying (Schedule)
-// events, and a run that stops at several RunBefore instants, and checks
-// every fire lands in strict (at, seq) order — the total order the whole
-// simulator's determinism rests on.
+// TestHeapStressOrdering (named for the heap the sorted queue replaced)
+// hammers the event queue with random schedule times, interleaved
+// cancellations, pooled (ScheduleTag, through both a value and a pointer
+// Callback) and Handle-carrying (Schedule) events, and a run that stops at
+// several RunBefore instants, and checks every fire lands in strict
+// (at, seq) order — the total order the whole simulator's determinism
+// rests on.
 func TestHeapStressOrdering(t *testing.T) {
 	r := rng.New(42)
 	var e Engine

@@ -1,6 +1,17 @@
 // Package sim provides the discrete-event simulation engine that drives the
-// SSD model: a simulated clock, an event heap with deterministic ordering,
+// SSD model: a simulated clock, an event queue with deterministic ordering,
 // and helpers for time arithmetic.
+//
+// The queue is a slice kept sorted with the next event last, so Step pops it
+// without a comparison and Schedule inserts by shifting the entries that
+// fire no later than the new event: O(depth) per insert, not a heap's
+// O(log depth). The trade-off fits the SSD model, whose depth is bounded by
+// its in-flight work — each die runs one plan and each channel bus and ECC
+// unit has one scheduled occupancy, at most dies + 2 × channels events (24
+// for the default device, 6.7 on average during a Figure 14 sweep). An
+// engine holding hundreds of thousands of events would pay for every insert
+// in proportion; no SSD run does, since it streams host arrivals through
+// RunBefore instead of scheduling them.
 //
 // All simulated time is kept as integer nanoseconds (Time). The paper's
 // timing parameters are microseconds-scale, so nanosecond resolution leaves
@@ -62,121 +73,39 @@ type Callback interface {
 	Fire(now Time, tag int)
 }
 
-// entry is one pending event's position in the heap: its (at, seq) sort
-// key and the index of the record holding its payload. It holds no
-// pointers, so sifting moves plain words — no GC write barriers, and the
-// comparator never dereferences a record.
+// entry is one pending event in the engine's queue: its time and the index
+// of the record holding its payload. It holds no pointers, so shifting
+// entries moves plain words with no GC write barriers.
 type entry struct {
 	at  Time
-	seq uint64 // insertion order breaks ties deterministically
 	rec int32
 }
 
 // record is an event's payload slot in the engine's slab: the closure or
-// (callback, tag) to fire and the event's current heap index (-1 when the
-// slot is free). Slots are recycled through an index free list as soon as
-// their event fires or is cancelled.
+// (callback, tag) to fire and the event's sequence number, which Handles
+// check. Slots are recycled through an index free list as soon as their
+// event fires or is cancelled.
 type record struct {
 	fn  Event
 	cb  Callback
 	tag int
-	pos int32
-}
-
-// heapArity is the fan-out of the hand-rolled min-heap. The comparator is a
-// strict total order over (at, seq) — seq is unique — so events pop in
-// exactly (at, seq) order no matter how the heap arranges itself
-// internally: determinism does not depend on the arity or sift details.
-// Hand-rolling (instead of container/heap) removes the per-comparison
-// interface calls, and the wider fan-out roughly halves the sift depth.
-const heapArity = 4
-
-func entryLess(a, b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// place stores x at heap index i and records the index in x's slot.
-func (e *Engine) place(i int, x entry) {
-	e.heap[i] = x
-	e.recs[x.rec].pos = int32(i)
-}
-
-func (e *Engine) push(x entry) {
-	e.heap = append(e.heap, x)
-	e.siftUp(len(e.heap)-1, x)
-}
-
-// removeAt deletes the entry at heap index i (the top for Step, anywhere
-// for Cancel) and marks its slot as out of the heap.
-func (e *Engine) removeAt(i int) entry {
-	x := e.heap[i]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i < n {
-		e.siftDown(i, last)
-		if e.heap[i] == last {
-			e.siftUp(i, last)
-		}
-	}
-	e.recs[x.rec].pos = -1
-	return x
-}
-
-// siftUp moves x, destined for index i, toward the root.
-func (e *Engine) siftUp(i int, x entry) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := e.heap[parent]
-		if !entryLess(x, p) {
-			break
-		}
-		e.place(i, p)
-		i = parent
-	}
-	e.place(i, x)
-}
-
-// siftDown moves x, destined for index i, toward the leaves.
-func (e *Engine) siftDown(i int, x entry) {
-	h := e.heap
-	n := len(h)
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if entryLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !entryLess(h[min], x) {
-			break
-		}
-		e.place(i, h[min])
-		i = min
-	}
-	e.place(i, x)
+	seq uint64
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same instant fire in scheduling order, making runs fully deterministic.
 // The zero value is ready to use.
 type Engine struct {
-	now   Time
-	seq   uint64
-	heap  []entry
+	now Time
+	seq uint64
+	// q holds the pending events sorted by (at, seq) in descending order,
+	// so the next event to fire is last (see the package comment for why a
+	// sorted slice, not a heap). seq is implicit in the order: a new event
+	// has the largest seq yet, so it goes after every pending event that
+	// fires later and before every one at or before its instant.
+	q     []entry
 	fired uint64
-	// recs is the payload slab the heap's entries index, and free lists
+	// recs is the payload slab the queue's entries index, and free lists
 	// its unused slots: an SSD run schedules one event per plan operation
 	// across millions of reads, and recycling slots keeps that from being
 	// one heap allocation each.
@@ -191,32 +120,38 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Schedule enqueues fn to run at time at. Scheduling in the past (before the
 // current clock) panics: it always indicates a model bug, and silently
 // reordering time would corrupt every latency statistic downstream.
 func (e *Engine) Schedule(at Time, fn Event) *Handle {
-	h := e.schedule(at, record{fn: fn})
-	return &h
+	r := e.schedule(at)
+	e.recs[r].fn = fn
+	return &Handle{engine: e, rec: r, seq: e.recs[r].seq}
 }
 
 // ScheduleTag enqueues cb.Fire(at, tag) without allocating a closure or a
 // Handle; the event's slot is pooled. Ordering semantics are identical to
 // Schedule: same-instant events fire in scheduling order.
 func (e *Engine) ScheduleTag(at Time, cb Callback, tag int) {
-	e.schedule(at, record{cb: cb, tag: tag})
+	rec := &e.recs[e.schedule(at)]
+	rec.cb, rec.tag = cb, tag
 }
 
 // ScheduleTagHandle is ScheduleTag returning a cancellation Handle by value,
 // so a cancellable event costs no allocation either.
 func (e *Engine) ScheduleTagHandle(at Time, cb Callback, tag int) Handle {
-	return e.schedule(at, record{cb: cb, tag: tag})
+	r := e.schedule(at)
+	rec := &e.recs[r]
+	rec.cb, rec.tag = cb, tag
+	return Handle{engine: e, rec: r, seq: rec.seq}
 }
 
-// schedule stores r in a fresh or recycled slot and pushes its entry,
-// stamped with the next sequence number.
-func (e *Engine) schedule(at Time, r record) Handle {
+// schedule takes a fresh or recycled slot, stamps it with the next sequence
+// number and inserts its entry into the queue; the caller fills in the
+// payload. The slot's fn and cb are nil: release clears them.
+func (e *Engine) schedule(at Time) int32 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -224,18 +159,24 @@ func (e *Engine) schedule(at Time, r record) Handle {
 	if n := len(e.free); n > 0 {
 		rec = e.free[n-1]
 		e.free = e.free[:n-1]
-		e.recs[rec] = r
 	} else {
 		rec = int32(len(e.recs))
-		e.recs = append(e.recs, r)
+		e.recs = append(e.recs, record{})
 	}
-	x := entry{at: at, seq: e.seq, rec: rec}
+	e.recs[rec].seq = e.seq
 	e.seq++
-	e.push(x)
-	return Handle{engine: e, rec: rec, seq: x.seq}
+	q := append(e.q, entry{})
+	i := len(q) - 1
+	for i > 0 && q[i-1].at <= at {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = entry{at: at, rec: rec}
+	e.q = q
+	return rec
 }
 
-// release clears a slot that has left the heap and returns it to the free
+// release clears a slot that has left the queue and returns it to the free
 // list.
 func (e *Engine) release(rec int32) {
 	r := &e.recs[rec]
@@ -257,33 +198,39 @@ type Handle struct {
 // was actually cancelled.
 func (h *Handle) Cancel() bool {
 	e := h.engine
-	if e == nil {
+	if e == nil || e.recs[h.rec].seq != h.seq {
 		return false
 	}
-	pos := e.recs[h.rec].pos
-	if pos < 0 || e.heap[pos].seq != h.seq {
-		return false
+	// The slot still carries h's event; it is pending exactly when one of
+	// the queue's entries names it.
+	for i, x := range e.q {
+		if x.rec == h.rec {
+			e.q = append(e.q[:i], e.q[i+1:]...)
+			e.release(h.rec)
+			return true
+		}
 	}
-	e.removeAt(int(pos))
-	e.release(h.rec)
-	return true
+	return false
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
 // reports false when no events remain.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	n := len(e.q) - 1
+	if n < 0 {
 		return false
 	}
-	x := e.removeAt(0)
+	x := e.q[n]
+	e.q = e.q[:n]
 	e.now = x.at
 	e.fired++
-	r := e.recs[x.rec]
+	r := &e.recs[x.rec]
+	fn, cb, tag := r.fn, r.cb, r.tag
 	e.release(x.rec)
-	if r.cb != nil {
-		r.cb.Fire(e.now, r.tag)
+	if cb != nil {
+		cb.Fire(e.now, tag)
 	} else {
-		r.fn(e.now)
+		fn(e.now)
 	}
 	return true
 }
@@ -299,12 +246,12 @@ func (e *Engine) Run() {
 // stream of arrivals as "RunBefore(arrival), then act at arrival" makes each
 // arrival precede every event already pending at its instant — the same
 // order as scheduling all arrivals before the run starts, without holding
-// them in the heap. A t before the current clock panics, as in Schedule.
+// them in the queue. A t before the current clock panics, as in Schedule.
 func (e *Engine) RunBefore(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: running to %v before now %v", t, e.now))
 	}
-	for len(e.heap) > 0 && e.heap[0].at < t {
+	for len(e.q) > 0 && e.q[len(e.q)-1].at < t {
 		e.Step()
 	}
 	e.now = t

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"readretry/internal/core"
+	"readretry/internal/nand"
 	"readretry/internal/sim"
 	"readretry/internal/trace"
 	"readretry/internal/workload"
@@ -267,5 +268,115 @@ func TestSchemePlansDriveDieOccupancy(t *testing.T) {
 	if st.DieBusyTotal <= sim.Time(st.MeanRead())*sim.Microsecond-sim.Microsecond {
 		t.Errorf("die busy %v should cover the full plan including the RESET tail (read %v µs)",
 			st.DieBusyTotal, st.MeanRead())
+	}
+}
+
+func TestSuspendedProgramTiming(t *testing.T) {
+	// One read arrives halfway through a host write's program on the same
+	// die. The program is suspended for exactly the read's die occupancy
+	// and resumes for the time it had left, so both completions are fixed
+	// by Table 1's timings to the nanosecond.
+	cfg := tinyConfig()
+	cfg.PEC, cfg.RetentionMonths = 0, 0
+	cfg.Scheme = core.Baseline
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := cfg.Timing
+	const writeLPN = 0
+	readLPN := int64(cfg.Dies() * cfg.Geometry.PlanesPerDie)
+	wd, _ := dev.flash.StripeOf(writeLPN)
+	rd, _ := dev.flash.StripeOf(readLPN)
+	if wd != rd {
+		t.Fatalf("write on die %d, read on die %d: the test needs one die", wd, rd)
+	}
+	arrival := tm.TDMA + tm.TProg/2
+	recs := []trace.Record{
+		{Arrival: 0, Offset: writeLPN * workload.PageSize, Size: workload.PageSize, Write: true},
+		{Arrival: arrival, Offset: readLPN * workload.PageSize, Size: workload.PageSize},
+	}
+	st, err := dev.Run(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Suspensions != 1 || st.RetriedReads != 0 {
+		t.Fatalf("suspensions = %d, retried reads = %d; want 1 and 0", st.Suspensions, st.RetriedReads)
+	}
+	ppn, ok := dev.flash.Lookup(readLPN)
+	if !ok {
+		t.Fatal("read LPN unmapped after the run")
+	}
+	tR := tm.TR(cfg.Geometry.PageType(ppn.Page), nand.Reduction{})
+	// The read senses, transfers and decodes; the die is free again after
+	// its transfer, and the program resumes then for the TProg/2 it had
+	// left.
+	readDone := arrival + tR + tm.TDMA + cfg.ECC.DecodeLatency
+	writeDone := arrival + tR + tm.TDMA + (tm.TDMA + tm.TProg - arrival)
+	if got, want := st.Reads.Mean(), (readDone - arrival).Microseconds(); got != want {
+		t.Errorf("read response %v µs, want %v µs", got, want)
+	}
+	if got, want := st.Writes.Mean(), writeDone.Microseconds(); got != want {
+		t.Errorf("write response %v µs, want %v µs", got, want)
+	}
+	if st.SimEnd != writeDone {
+		t.Errorf("run ended at %d ns, want the resumed program's end %d ns", st.SimEnd, writeDone)
+	}
+}
+
+func TestPendingEventsBoundedByDevice(t *testing.T) {
+	// The event engine keeps its queue as a sorted slice, which is cheap
+	// only because the device bounds its depth: each die runs one plan or
+	// phase, with at most one die-side event pending, and each channel bus
+	// and ECC unit has one scheduled occupancy. Saturated PnAR² cells at
+	// 2K P/E and 12 months, one read-only and one write-heavy with
+	// suspensions and garbage collection, must stay within dies + 2 ×
+	// channels events after every host submission.
+	for _, name := range []string{"YCSB-C", "stg_0"} {
+		t.Run(name, func(t *testing.T) {
+			// tinyConfig keeps the 4×4 parallelism with few blocks, so
+			// the write-heavy cell also runs garbage collection.
+			cfg := tinyConfig()
+			cfg.PEC, cfg.RetentionMonths = 2000, 12
+			cfg.Scheme = core.PnAR2
+			spec, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.FootprintPages = cfg.TotalPages() * 6 / 10
+			spec.AvgIOPS = 24000 / spec.AvgPagesPerRequest()
+			recs := workload.NewGenerator(spec, 7).Generate(30000)
+			dev, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := cfg.Dies() + 2*cfg.Channels
+			deepest := 0
+			// Run's loop, checking the depth after each submission.
+			reqs := make([]request, len(recs))
+			for i := range recs {
+				req := &reqs[i]
+				*req = newRequest(&recs[i])
+				dev.eng.RunBefore(req.arrival)
+				dev.submit(req, req.arrival)
+				p := dev.eng.Pending()
+				if p > bound {
+					t.Fatalf("request %d: %d events pending, bound %d", i, p, bound)
+				}
+				deepest = max(deepest, p)
+			}
+			dev.eng.Run()
+			st, err := dev.finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The cell must actually saturate the device, or the bound is
+			// checked at a depth it never approaches.
+			if deepest < cfg.Dies() {
+				t.Errorf("deepest queue %d events: cell does not saturate the %d dies", deepest, cfg.Dies())
+			}
+			t.Logf("deepest %d of %d; %d page reads, %d page writes, %d suspensions, %d GC jobs",
+				deepest, bound, st.PageReads, st.PageWrites, st.Suspensions, st.GCJobs)
+		})
 	}
 }

@@ -137,7 +137,8 @@ func (s *SSD) RPT() *rpt.Table { return s.table }
 // events: in arrival order (trace order among equal timestamps), the engine
 // fires every event strictly before the arrival and the request is then
 // submitted at its arrival instant, ahead of any completion due at that
-// same instant (DESIGN.md §3). The heap thus holds only in-flight events.
+// same instant (DESIGN.md §3). The event queue thus holds only in-flight
+// events.
 func (s *SSD) Run(recs []trace.Record) (*Stats, error) {
 	reqs := make([]request, len(recs))
 	reads := 0
