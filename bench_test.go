@@ -18,7 +18,6 @@ import (
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
-	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
 	"readretry/internal/rng"
 	"readretry/internal/rpt"
@@ -369,35 +368,6 @@ func BenchmarkSweepQLCGrid(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(cfg.Devices)), "devices")
-}
-
-// BenchmarkSweepSharded runs the trimmed grid as a 4-shard plan — every
-// shard executed back-to-back through the shard subsystem over a shared
-// in-memory cache, then merged — versus BenchmarkSweepParallel's direct
-// single run. The delta is the distribution layer's whole overhead:
-// planning, per-cell content addressing, record assembly, and the
-// merge-time re-sequencing plus normalization.
-func BenchmarkSweepSharded(b *testing.B) {
-	cfg := benchSweepConfig()
-	cfg.Parallelism = 0
-	variants := experiments.Figure14Variants()
-	const shards = 4
-	for i := 0; i < b.N; i++ {
-		cfg.Cache = cellcache.Memory()
-		plan, err := shard.NewPlan(cfg, variants, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range plan.Shards {
-			if _, err := shard.Run(context.Background(), cfg, variants, m, ""); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := shard.Merge(cfg, variants, "", cfg.Cache); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(shards, "shards")
 }
 
 // --- Ablations (DESIGN.md §6) -------------------------------------------------

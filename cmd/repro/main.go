@@ -15,21 +15,10 @@
 //	repro -device tlc,qlc16  # cross the condition grid with a device axis
 //	repro -retry-metrics -csv out  # also stream out/fig14.metrics.csv (per-block retry accounting)
 //	repro -history         # add the history-seeded PnAR2+H column to the fig14 grid
-//
-// The Figure 14/15 sweeps can be split across processes (even machines
-// sharing a filesystem) through the shard subsystem: run every shard index
-// over one -cache-dir, the shared result store, then merge. Re-running an
-// interrupted shard resumes from the cache.
-//
-//	repro -only fig14 -cache-dir .rrc -shards 4 -shard-index 2   # run one shard
-//	repro -only fig14 -cache-dir .rrc -merge                     # merge completed shards
-//
-// On one machine -parallel already fills every core from one process.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +33,6 @@ import (
 	"readretry/internal/ecc"
 	"readretry/internal/experiments"
 	"readretry/internal/experiments/cellcache"
-	"readretry/internal/experiments/shard"
 	"readretry/internal/nand"
 	"readretry/internal/rpt"
 	"readretry/internal/ssd"
@@ -63,53 +51,13 @@ var (
 	csvDir   = flag.String("csv", "", "directory to stream per-figure sweep CSVs into (fig14.csv, fig15.csv), written row-by-row as cells complete")
 	temps    = flag.String("temps", "", "comma-separated operating temperatures in °C (e.g. 25,55,85) to cross the Figure 14/15 condition grid with; empty keeps the device default")
 	device   = flag.String("device", "", "comma-separated device presets (tlc, qlc16): one preset reconfigures the Figure 14/15 device template in place; several cross the condition grid with a device axis")
-	cacheDir = flag.String("cache-dir", "", "per-cell sweep cache directory: re-runs only simulate cells not already cached; the shared store all shard modes require")
+	cacheDir = flag.String("cache-dir", "", "per-cell sweep cache directory: re-runs only simulate cells not already cached")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format), so perf work can attribute wins")
 	memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit (pprof format)")
 
 	retryMetrics = flag.Bool("retry-metrics", false, "collect per-block retry accounting during the Figure 14/15 sweeps; with -csv, streams <figure>.metrics.csv beside the sweep CSV (observational only: latencies are bit-identical either way)")
 	history      = flag.Bool("history", false, "add the PnAR2+H column — PnAR2 with each block's ladder start seeded from its last successful retry outcome — to the Figure 14 grid")
-
-	shards     = flag.Int("shards", 0, "partition the Figure 14/15 grids into this many round-robin shards and run only -shard-index (requires -cache-dir)")
-	shardIndex = flag.Int("shard-index", 0, "which shard to run when -shards is set (0-based)")
-	mergeFlag  = flag.Bool("merge", false, "merge completed shard outputs from -cache-dir instead of simulating; fails listing the missing cells if any shard has not finished")
 )
-
-// distributed reports whether a shard mode (-shards or -merge) is active;
-// those modes apply only to the Figure 14/15 sweeps, so every other
-// experiment is skipped while one is on.
-func distributed() bool { return *shards > 0 || *mergeFlag }
-
-// checkFlags rejects flag combinations the shard modes cannot honour, so
-// a mistyped shard flag fails loudly instead of quietly running the whole
-// grid in one process. main exits with status 2 on its error.
-func checkFlags() error {
-	indexSet := false
-	flag.Visit(func(f *flag.Flag) { indexSet = indexSet || f.Name == "shard-index" })
-	switch {
-	case *shards < 0:
-		return fmt.Errorf("-shards %d: need a positive shard count", *shards)
-	case indexSet && *shards == 0:
-		return errors.New("-shard-index needs -shards")
-	case *shards > 0 && *mergeFlag:
-		return errors.New("-shards and -merge are mutually exclusive")
-	case *shards > 0 && (*shardIndex < 0 || *shardIndex >= *shards):
-		return fmt.Errorf("-shard-index %d outside [0, %d)", *shardIndex, *shards)
-	case *shards > 0 && *csvDir != "":
-		// A shard has no complete stripes to normalize, so it cannot
-		// emit the CSV; refusing beats silently writing nothing.
-		return errors.New("-csv needs a full grid; pass it to -merge instead of a -shards run")
-	case distributed() && *cacheDir == "":
-		return errors.New("shard modes need -cache-dir, the shared result store")
-	case distributed() && !want("fig14") && !want("fig15"):
-		return errors.New("shard modes distribute the fig14/fig15 sweeps; use -only fig14, fig15, or all")
-	}
-	return nil
-}
-
-// shardsDir is where manifests and completion records live: a subdirectory
-// of the shared cache dir, beside (not among) the per-cell entries.
-func shardsDir() string { return filepath.Join(*cacheDir, "shards") }
 
 // csvSinkFor opens dir/<name>.csv for streaming when -csv is set; the
 // returned closer flushes and reports late write errors. Without -csv it
@@ -158,55 +106,8 @@ func metricsSinkFor(name string, cfg experiments.Config) (experiments.CellSink, 
 	return sink, f.Close, nil
 }
 
-// writeFigureCSV writes a complete grid to -csv's dir/<name>.csv. The grid
-// being complete, the buffered encoder writes the same bytes the streaming
-// sink would have — the property -merge's byte-identity rests on. Without
-// -csv it is a no-op.
-func writeFigureCSV(name string, res *experiments.Result) error {
-	if *csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFigureMetricsCSV is writeFigureCSV's retry-metrics counterpart: the
-// buffered encoder over a merged grid writes the same bytes the streaming
-// metrics sink would have, because the retry digest travels losslessly
-// through the cell cache and shard records. A no-op unless both -csv and
-// -retry-metrics are set.
-func writeFigureMetricsCSV(name string, res *experiments.Result) error {
-	if *csvDir == "" || !*retryMetrics {
-		return nil
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(*csvDir, name+".metrics.csv"))
-	if err != nil {
-		return err
-	}
-	if err := res.WriteMetricsCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // fig14Variants returns the Figure 14 columns, appending the
-// history-seeded ladder variant under -history. Every mode — direct,
-// shard, merge — derives the grid from this one function, so the config
-// hash and cache keys agree across processes.
+// history-seeded ladder variant under -history.
 func fig14Variants() []experiments.Variant {
 	vs := experiments.Figure14Variants()
 	if *history {
@@ -276,26 +177,15 @@ func renderByTemp(res *experiments.Result, config, reference string) {
 // sweepProgress returns a Progress callback that reports the named sweep on
 // stderr at 10 % milestones (cells complete out of order only internally —
 // the callback itself is serialized by the engine). Every report carries a
-// cells-remaining count; a shard run additionally prefixes its identity
-// ("[shard 2/8]") and emits whole lines instead of \r rewinds, because
-// several shard processes may share one terminal and rewinds would
-// overwrite each other.
+// cells-remaining count.
 func sweepProgress(name string) func(done, total int) {
-	prefix := ""
-	if *shards > 0 {
-		prefix = fmt.Sprintf("[shard %d/%d] ", *shardIndex+1, *shards)
-	}
 	lastDecade, lastLen := -1, 0
 	return func(done, total int) {
 		pct := done * 100 / total
 		if pct/10 > lastDecade || done == total {
 			lastDecade = pct / 10
-			line := fmt.Sprintf("%s%s: %d/%d cells (%d%%), %d remaining",
-				prefix, name, done, total, pct, total-done)
-			if prefix != "" {
-				fmt.Fprintln(os.Stderr, line)
-				return
-			}
+			line := fmt.Sprintf("%s: %d/%d cells (%d%%), %d remaining",
+				name, done, total, pct, total-done)
 			// The remaining count makes successive lines shrink; pad over
 			// the previous one so a \r rewind leaves no residue.
 			if pad := lastLen - len(line); pad > 0 {
@@ -311,75 +201,36 @@ func sweepProgress(name string) func(done, total int) {
 }
 
 func want(name string) bool {
-	if distributed() && name != "fig14" && name != "fig15" {
-		return false // shard modes distribute only the sweeps
-	}
 	return *only == "all" || strings.EqualFold(*only, name)
 }
 
-// runSweepFigure executes one Figure 14/15 sweep under the active mode.
-// A nil, nil return means "this process only ran a shard": the cells are
-// persisted (cache + completion record) but there is no full grid to
-// render, so the caller skips the figure's statistics.
+// runSweepFigure runs one Figure 14/15 sweep, streaming its cells to the
+// -csv sinks as they complete.
 func runSweepFigure(name string, cfg experiments.Config, variants []experiments.Variant) (*experiments.Result, error) {
-	switch {
-	case *shards > 0:
-		plan, err := shard.NewPlan(cfg, variants, *shards)
-		if err != nil {
-			return nil, err
-		}
-		m := plan.Shards[*shardIndex]
-		fmt.Fprintf(os.Stderr, "[shard %d/%d] %s: %d of %d cells assigned\n",
-			*shardIndex+1, *shards, name, len(m.Cells), m.TotalCells)
-		if *progress {
-			cfg.Progress = sweepProgress(name)
-		}
-		if _, err := shard.Run(context.Background(), cfg, variants, m, shardsDir()); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "[shard %d/%d] %s: done, record %s\n",
-			*shardIndex+1, *shards, name, m.RecordFilename())
-		return nil, nil
-
-	case *mergeFlag:
-		res, err := shard.Merge(cfg, variants, shardsDir(), cfg.Cache)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeFigureCSV(name, res); err != nil {
-			return nil, err
-		}
-		if err := writeFigureMetricsCSV(name, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-
-	default:
-		if *progress {
-			cfg.Progress = sweepProgress(name)
-		}
-		sink, closeCSV, err := csvSinkFor(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Sink = sink
-		msink, closeMetrics, err := metricsSinkFor(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.MetricsSink = msink
-		res, err := experiments.RunSweep(context.Background(), cfg, variants)
-		if err != nil {
-			return nil, err
-		}
-		if err := closeCSV(); err != nil {
-			return nil, fmt.Errorf("csv: %w", err)
-		}
-		if err := closeMetrics(); err != nil {
-			return nil, fmt.Errorf("metrics csv: %w", err)
-		}
-		return res, nil
+	if *progress {
+		cfg.Progress = sweepProgress(name)
 	}
+	sink, closeCSV, err := csvSinkFor(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Sink = sink
+	msink, closeMetrics, err := metricsSinkFor(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.MetricsSink = msink
+	res, err := experiments.RunSweep(context.Background(), cfg, variants)
+	if err != nil {
+		return nil, err
+	}
+	if err := closeCSV(); err != nil {
+		return nil, fmt.Errorf("csv: %w", err)
+	}
+	if err := closeMetrics(); err != nil {
+		return nil, fmt.Errorf("metrics csv: %w", err)
+	}
+	return res, nil
 }
 
 func header(s string) {
@@ -388,10 +239,6 @@ func header(s string) {
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(); err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(2)
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -671,9 +518,6 @@ func main() {
 			// The disk tier makes re-runs incremental; within one
 			// invocation it also lets fig15 reuse fig14's Baseline and
 			// NoRR cells (same scheme+PSO, so the same content address).
-			// Shard modes lean on it harder: it is the store shard
-			// processes fill concurrently, what makes interrupted shards
-			// resumable, and a fallback source for -merge.
 			cache, err := cellcache.Disk(*cacheDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
@@ -682,30 +526,22 @@ func main() {
 			cfg.Cache = cache
 		}
 		if want("fig14") {
-			if *shards == 0 {
-				header("Figure 14: SSD response time (normalized to Baseline)")
-			}
+			header("Figure 14: SSD response time (normalized to Baseline)")
 			res, err := runSweepFigure("fig14", cfg, fig14Variants())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: fig14: %v\n", err)
 				os.Exit(1)
 			}
-			if res != nil {
-				renderFig14(res, cfg, add)
-			}
+			renderFig14(res, cfg, add)
 		}
 		if want("fig15") {
-			if *shards == 0 {
-				header("Figure 15: combining with PSO (normalized to Baseline)")
-			}
+			header("Figure 15: combining with PSO (normalized to Baseline)")
 			res, err := runSweepFigure("fig15", cfg, experiments.Figure15Variants())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: fig15: %v\n", err)
 				os.Exit(1)
 			}
-			if res != nil {
-				renderFig15(res, cfg, add)
-			}
+			renderFig15(res, cfg, add)
 		}
 	}
 
@@ -721,7 +557,7 @@ func main() {
 }
 
 // renderFig14 prints the Figure 14 table and records its paper-vs-measured
-// statistics; res is a complete grid (a direct run or a shard merge).
+// statistics.
 func renderFig14(res *experiments.Result, cfg experiments.Config, add func(figure, quantity, paper, measured string)) {
 	res.Render(os.Stdout)
 	prAvg, prMax := res.Reduction("PR2", "Baseline", false)

@@ -15,7 +15,7 @@
 //
 // works and caches like any other vet tool. Diagnostics print as
 // file:line:col: message [analyzer]; exit status 1 means findings, 2
-// means the tool itself failed. See DESIGN.md §11 for the invariant
+// means the tool itself failed. See DESIGN.md §10 for the invariant
 // table and annotation escape hatches.
 package main
 

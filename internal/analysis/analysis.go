@@ -12,7 +12,7 @@
 // type-checked with go/types against the compiler's export data, so the
 // suite needs no module dependencies and runs offline. cmd/reprolint is
 // the multichecker binary; scripts/lint.sh and CI run it over ./... and
-// fail on any diagnostic. See DESIGN.md §11 for the analyzer ↔ invariant
+// fail on any diagnostic. See DESIGN.md §10 for the analyzer ↔ invariant
 // table and the annotation escape hatches.
 package analysis
 

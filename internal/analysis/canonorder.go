@@ -11,7 +11,8 @@ import (
 // builds ordered output — appending to a slice, writing to an io.Writer
 // or strings.Builder, feeding a hash — produces a different artifact on
 // every run. Every byte-identity guarantee in this repo (golden CSVs,
-// cache keys, shard merge equivalence) dies on exactly this pattern.
+// metrics CSVs, cache keys, parallel≡serial sweeps) dies on exactly this
+// pattern.
 //
 // A site is clean if the collected slice is visibly sorted later in the
 // same function (the collect-keys-then-sort idiom), or if it carries a

@@ -8,7 +8,7 @@ import "strings"
 // are exempt without a single comment in their sources. Entries are
 // module-relative path fragments; PathInList matches them at path-segment
 // boundaries and includes subpackages, so "internal/experiments" covers
-// internal/experiments/shard and cellcache.
+// internal/experiments/cellcache.
 
 // DeterminismCriticalPackages lists the packages whose outputs must be
 // bit-reproducible from a seed: everything between the V_TH model and the
@@ -23,7 +23,7 @@ var DeterminismCriticalPackages = []string{
 	"internal/nand",
 	"internal/chip",
 	"internal/ftl",
-	"internal/experiments", // includes shard, cellcache
+	"internal/experiments", // includes cellcache
 	"internal/rng",
 	"internal/trace",
 	"internal/workload",

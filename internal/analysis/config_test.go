@@ -16,8 +16,8 @@ func TestPathMatches(t *testing.T) {
 		{"readretry/internal/simulator", "internal/sim", false},
 		{"myinternal/sim", "internal/sim", false},
 		// Subpackage coverage.
-		{"readretry/internal/experiments/shard", "internal/experiments", true},
 		{"readretry/internal/experiments/cellcache", "internal/experiments", true},
+		{"readretry/internal/ssd/retrymetrics", "internal/ssd", true},
 		// Unrelated paths.
 		{"readretry/examples/quickstart", "internal/sim", false},
 		{"readretry/cmd/repro", "internal/sim", false},
@@ -51,7 +51,7 @@ func TestSeededRandExemption(t *testing.T) {
 	if !PathInList("readretry/internal/rng", SeededRandExemptPackages) {
 		t.Error("internal/rng must be exempt from seededrand")
 	}
-	if PathInList("readretry/internal/experiments/shard", SeededRandExemptPackages) {
-		t.Error("shard must not be exempt from seededrand")
+	if PathInList("readretry/internal/ssd/retrymetrics", SeededRandExemptPackages) {
+		t.Error("retrymetrics must not be exempt from seededrand")
 	}
 }

@@ -21,8 +21,8 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // Detclock forbids wall-clock reads in determinism-critical packages.
 //
-// Every output of the simulation stack — Figure 14/15 CSVs, cache keys,
-// shard records — must be a pure function of the seed and config; one
+// Every output of the simulation stack — Figure 14/15 CSVs, metrics CSVs,
+// cache keys — must be a pure function of the seed and config; one
 // time.Now() in a sim package breaks bit-reproducibility invisibly until
 // a golden-CSV diff catches it. A wall-clock read that must exist
 // (cellcache's stale-temp-file cutoff) carries a //lint:wallclock <reason>

@@ -28,8 +28,8 @@ func TestDetclockScopeIsConfiguration(t *testing.T) {
 		"readretry/internal/chip",
 		"readretry/internal/ftl",
 		"readretry/internal/experiments",
-		"readretry/internal/experiments/shard",
 		"readretry/internal/experiments/cellcache",
+		"readretry/internal/ssd/retrymetrics",
 	}
 	for _, path := range critical {
 		if !analysis.PathInList(path, analysis.DeterminismCriticalPackages) {

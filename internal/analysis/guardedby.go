@@ -11,7 +11,7 @@ import (
 // so annotated may only be touched through the receiver inside a method
 // that visibly holds the named mutex at the access.
 //
-// The check is syntactic and intra-package, by design (DESIGN.md §11): a
+// The check is syntactic and intra-package, by design (DESIGN.md §10): a
 // method holds the mutex at an access if, scanning the body in source
 // order, a recv.mu.Lock()/RLock() precedes the access without an
 // intervening non-deferred recv.mu.Unlock()/RUnlock(); `defer

@@ -14,13 +14,12 @@ var fileCreationFuncs = map[string]bool{
 	"OpenFile":   true,
 }
 
-// Syncrename enforces the repo's durability protocol (DESIGN.md §9):
+// Syncrename enforces the repo's durability protocol (DESIGN.md §8):
 // any function that creates/writes a file and publishes it with
 // os.Rename must Sync() the written file before the rename. Rename makes
 // the name visible atomically, but without the preceding fsync a crash
-// can leave a *visible, empty or torn* file — and the shard and cellcache
-// subsystems treat a visible cache entry, manifest, or completion record
-// as durable work they will never redo.
+// can leave a *visible, empty or torn* file — and the cellcache disk
+// tier treats a visible cache entry as durable work it will never redo.
 //
 // A rename with no in-function file write (moving an existing file, e.g.
 // quarantining a corrupt cache entry) is not flagged: there is nothing

@@ -38,55 +38,6 @@ func cellKey(cfg Config, wl string, cond Condition, v Variant) (string, error) {
 	return cellKeyWithSchema(cacheKeySchema, cfg, wl, cond, v)
 }
 
-// CellKey exposes the engine's content-address derivation for one sweep
-// cell. Shard coordination needs it outside the package: a merge scanning
-// a shared cache dir must look cells up by exactly the keys the shard
-// processes stored them under.
-func CellKey(cfg Config, wl string, cond Condition, v Variant) (string, error) {
-	return cellKey(cfg, wl, cond, v)
-}
-
-// CacheKeySchema returns the engine's current cache-key schema tag. Shard
-// manifests record it so a manifest planned by one engine version is never
-// executed or merged against a cache tier written under a different key
-// derivation.
-func CacheKeySchema() string { return cacheKeySchema }
-
-// ConfigHash fingerprints a sweep's entire cell-index space: the resolved
-// workload roster, the resolved condition grid (Temps already crossed in),
-// every variant (name, scheme, PSO), the trace shape (Seed, Requests,
-// IOPS), the device template, and the cache-key schema. Two processes that
-// compute equal hashes decode every canonical cell index to the identical
-// measurement — the compatibility check that makes shard manifests and
-// completion records safe to merge. Unlike CellKey, the variant *names*
-// are hashed too: they appear in Result.Configs and the CSV, so renaming a
-// column changes what a merged result looks like even though the
-// underlying measurements are the same.
-func ConfigHash(cfg Config, variants []Variant) (string, error) {
-	g, err := NewGrid(cfg, variants)
-	if err != nil {
-		return "", err
-	}
-	dev, err := json.Marshal(cfg.Base)
-	if err != nil {
-		return "", fmt.Errorf("experiments: hashing device config: %w", err)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00grid\x00", cacheKeySchema)
-	for _, wl := range g.Workloads {
-		fmt.Fprintf(h, "w\x00%s\x00", wl)
-	}
-	for _, c := range g.Conds {
-		fmt.Fprintf(h, "c\x00%d\x00%g\x00%g\x00%s\x00", c.PEC, c.Months, c.TempC, c.Device)
-	}
-	for _, v := range g.Variants {
-		fmt.Fprintf(h, "v\x00%s\x00%d\x00%t\x00%t\x00", v.Name, v.Scheme, v.PSO, v.History)
-	}
-	fmt.Fprintf(h, "t\x00%d\x00%d\x00%g\x00", cfg.Seed, cfg.Requests, cfg.IOPS)
-	h.Write(dev)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // cellKeyWithSchema is cellKey with the schema tag injectable, so the
 // cross-schema regression tests can derive keys an older engine would
 // have written and prove they never satisfy current lookups.

@@ -13,8 +13,8 @@
 // identical run performs zero simulations). Both are safe for concurrent
 // use by the engine's worker pool.
 //
-// Because disk entries feed byte-identity merges (the shard subsystem
-// treats a cache hit as ground truth), the disk tier defends its
+// Because the engine treats a cache hit as ground truth (a warm re-run
+// must be byte-identical to a cold one), the disk tier defends its
 // integrity end to end: every entry carries a CRC-32C over its payload, a
 // corrupt or torn entry is quarantined and treated as a miss (the engine
 // recomputes the cell and the next Put heals the entry), and stale temp
@@ -39,7 +39,7 @@ import (
 // sweep cell, in the engine's native units (µs latencies, mean retry
 // steps). Retry is the per-address retry accounting digest, present iff
 // the sweep ran with ssd.Config.RetryMetrics — all of its fields
-// round-trip exactly through JSON, so a cached or shard-merged cell
+// round-trip exactly through JSON, so a cached cell
 // renders metrics rows byte-identical to a freshly simulated one.
 type Measurement struct {
 	Mean       float64               `json:"mean_us"`
@@ -88,7 +88,7 @@ func (c *memory) Put(key string, m Measurement) {
 // entryVersion is the current on-disk entry format: a JSON envelope whose
 // crc32c field covers the measurement payload bytes, so a flipped byte
 // anywhere in the payload — or a torn/legacy entry that predates the
-// envelope — is detected on read instead of flowing into a merge.
+// envelope — is detected on read instead of flowing into a result.
 const entryVersion = 1
 
 // castagnoli is the CRC-32C table (the same polynomial storage systems
@@ -135,8 +135,7 @@ type DiskCache struct {
 // by an in-memory tier. Entries are one JSON file per cell named by the
 // key; writes go through a temp file + best-effort fsync + rename, so
 // neither a crashed run nor a concurrent reader in another process ever
-// observes a torn entry — many processes (the shard subsystem's workers)
-// may safely share one dir. Each entry carries a CRC-32C checksum over its
+// observes a torn entry — many processes may safely share one dir. Each entry carries a CRC-32C checksum over its
 // payload: an entry that fails to parse or verify is quarantined under
 // dir/quarantine and treated as a miss, so the engine recomputes the cell
 // and the re-Put heals the entry. Opening also garbage-collects temp files
@@ -322,14 +321,11 @@ func (c *DiskCache) Put(key string, m Measurement) {
 
 // WriteFileAtomic publishes data at path all-or-nothing: a temp file in
 // the target's directory, a best-effort fsync, then a rename. A reader in
-// any process — cache lookups, the shard subsystem's record scans — never
-// observes a torn file, and the data should hit stable storage before the
-// name does, because concurrent shard processes treat a visible entry as
-// durable work they will never redo. A failed sync still degrades to (at
+// any process never observes a torn file, and the data should hit stable
+// storage before the name does, because every process sharing the dir
+// treats a visible entry as durable work it will never redo. A failed sync still degrades to (at
 // worst) a missing file after a crash, never a torn one — the rename is
-// what makes it visible. Exported so every on-disk artifact the sweep
-// subsystems share (cache entries, shard manifests, completion records)
-// follows the one discipline.
+// what makes it visible.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {

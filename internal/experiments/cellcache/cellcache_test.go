@@ -346,9 +346,9 @@ func TestDiskCreatesDirectory(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersShareDirWithoutTornEntries models the shard
-// subsystem's deployment: several processes — here, several independent
-// Disk instances, so nothing is serialized by a shared in-memory tier —
+// TestConcurrentWritersShareDirWithoutTornEntries models several
+// processes sharing one cache dir — here, several independent Disk
+// instances, so nothing is serialized by a shared in-memory tier — that
 // hammer one directory concurrently, overlapping on some keys and disjoint
 // on others, while readers poll. Every observation must be all-or-nothing:
 // either a miss or a complete, valid measurement, never a torn entry.

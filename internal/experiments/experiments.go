@@ -277,7 +277,7 @@ type Cell struct {
 	RetrySteps float64 // mean N_RR observed
 	// Retry is the per-address retry accounting digest, present iff the
 	// sweep's device template enables Base.RetryMetrics. It flows through
-	// the cell cache and shard records unchanged.
+	// the cell cache unchanged.
 	Retry *retrymetrics.Summary
 }
 

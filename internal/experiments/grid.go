@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -13,12 +12,9 @@ import (
 // workload roster, the condition grid (Conditions expanded across Temps),
 // and the variant columns, all validated. Cell index idx decodes
 // workload-major, then condition, then variant — exactly the order
-// Result.Cells holds and the CSV encoders emit — so a Grid is the shared
-// coordinate system that makes independently produced cell measurements
-// mergeable: any process that builds the same Grid from the same Config
-// assigns every cell the same index. The shard subsystem
-// (internal/experiments/shard) partitions this index space across
-// processes and re-sequences their outputs by it.
+// Result.Cells holds and the CSV encoders emit. RunSweep's worker pool
+// walks this index space; any caller that builds the same Grid from the
+// same Config assigns every cell the same index.
 type Grid struct {
 	Workloads []string
 	Conds     []Condition
@@ -28,8 +24,7 @@ type Grid struct {
 // NewGrid resolves and validates a sweep's cell-index space. It performs
 // exactly the upfront checks RunSweep does — at least one variant, a known
 // workload roster, a meaningful condition grid, a well-formed temperature
-// axis — so an invalid configuration fails identically whether it is about
-// to be run, sharded, or merged.
+// axis — so an invalid configuration fails before any cell is simulated.
 func NewGrid(cfg Config, variants []Variant) (*Grid, error) {
 	if len(variants) == 0 {
 		return nil, errors.New("experiments: sweep needs at least one variant")
@@ -107,24 +102,16 @@ func (g *Grid) CellAt(idx int) (wl string, cond Condition, v Variant) {
 }
 
 // Label renders a cell index as the human-readable coordinate the figures
-// use ("stg_0 2K/6mo PnAR2") — how merge errors name missing cells.
+// use ("stg_0 2K/6mo PnAR2").
 func (g *Grid) Label(idx int) string {
 	wl, cond, v := g.CellAt(idx)
 	return fmt.Sprintf("%s %s %s", wl, cond, v.Name)
 }
 
-// checkIndex validates one canonical index against the grid.
-func (g *Grid) checkIndex(idx int) error {
-	if idx < 0 || idx >= g.Total() {
-		return fmt.Errorf("experiments: cell index %d outside grid [0, %d)", idx, g.Total())
-	}
-	return nil
-}
-
 // ReferenceVariant returns the normalization column of a variant roster:
 // the variant named "Baseline" if present, otherwise the first one. It is
-// the reference RunSweep normalizes stripes against, exported so a merge
-// of independently produced cells can apply the identical normalization.
+// the reference RunSweep normalizes stripes against, exported so a caller
+// holding a complete grid of cells can apply the identical normalization.
 func ReferenceVariant(variants []Variant) string {
 	for _, v := range variants {
 		if v.Name == "Baseline" {
@@ -138,9 +125,8 @@ func ReferenceVariant(variants []Variant) string {
 // complete grid in canonical order: cells is partitioned into
 // len(variants)-sized (workload, condition) stripes and each stripe is
 // normalized against the roster's reference variant, exactly as RunSweep
-// does stripe-by-stripe as they complete. Merging shard outputs calls this
-// once over the merged set, which is what makes a merged Result
-// bit-identical to a single-process run.
+// does stripe-by-stripe as they complete, so the result is bit-identical
+// to the Normalized values a RunSweep over the same grid produces.
 func NormalizeCells(cells []Cell, variants []Variant) error {
 	if len(variants) == 0 {
 		return errors.New("experiments: normalization needs at least one variant")
@@ -154,35 +140,4 @@ func NormalizeCells(cells []Cell, variants []Variant) error {
 		normalizeStripe(cells[base:base+stride], reference)
 	}
 	return nil
-}
-
-// RunCells executes only the given canonical cell indices of the sweep's
-// grid — the shard entry point. Cells are returned in the order of
-// indices, raw: Normalized is left zero, because a partial grid has no
-// complete stripes to normalize against (merge the full set and apply
-// NormalizeCells). Everything else matches RunSweep: the same worker pool
-// (cfg.Parallelism), one shared trace per workload, cfg.Cache consulted
-// first and filled after each miss (giving shard processes sharing a disk
-// tier crash-resumability for free), and cfg.Progress observing completed
-// cells against len(indices). cfg.Sink is ignored — streaming is defined
-// over the canonical order of a full grid.
-func RunCells(ctx context.Context, cfg Config, variants []Variant, indices []int) ([]Cell, error) {
-	g, err := NewGrid(cfg, variants)
-	if err != nil {
-		return nil, err
-	}
-	for _, idx := range indices {
-		if err := g.checkIndex(idx); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]Cell, len(indices))
-	err = runGridCells(ctx, cfg, g, indices, func(pos, idx int, c Cell) error {
-		out[pos] = c // each pos is delivered exactly once
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

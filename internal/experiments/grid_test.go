@@ -42,39 +42,6 @@ func TestGridCellAtDecodesCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestRunCellsSubsetMatchesFullSweep(t *testing.T) {
-	cfg := tinySweepConfig(7)
-	full, err := RunSweep(context.Background(), cfg, Figure14Variants())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An arbitrary subset, deliberately out of ascending order.
-	indices := []int{7, 0, 3, 9, 2}
-	cells, err := RunCells(context.Background(), cfg, Figure14Variants(), indices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != len(indices) {
-		t.Fatalf("RunCells returned %d cells, want %d", len(cells), len(indices))
-	}
-	for i, idx := range indices {
-		want := full.Cells[idx]
-		want.Normalized = 0 // subsets are raw; normalization is a merge-time step
-		if !reflect.DeepEqual(cells[i], want) {
-			t.Fatalf("cell %d (grid idx %d) = %+v, want %+v", i, idx, cells[i], want)
-		}
-	}
-}
-
-func TestRunCellsRejectsOutOfRangeIndex(t *testing.T) {
-	cfg := tinySweepConfig(7)
-	for _, bad := range [][]int{{-1}, {10}, {0, 99}} {
-		if _, err := RunCells(context.Background(), cfg, Figure14Variants(), bad); err == nil {
-			t.Fatalf("RunCells accepted out-of-range indices %v", bad)
-		}
-	}
-}
-
 func TestNormalizeCellsMatchesEngineNormalization(t *testing.T) {
 	cfg := tinySweepConfig(7)
 	variants := Figure14Variants()
@@ -102,46 +69,4 @@ func TestNormalizeCellsMatchesEngineNormalization(t *testing.T) {
 	if err := NormalizeCells(raw, nil); err == nil {
 		t.Fatal("NormalizeCells accepted an empty variant roster")
 	}
-}
-
-func TestConfigHashSensitivity(t *testing.T) {
-	cfg := tinySweepConfig(7)
-	variants := Figure14Variants()
-	base, err := ConfigHash(cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := ConfigHash(cfg, Figure14Variants())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != same {
-		t.Fatal("ConfigHash is not deterministic for equal configurations")
-	}
-
-	vary := func(name string, mutate func(*Config) []Variant) {
-		c := cfg
-		vs := mutate(&c)
-		if vs == nil {
-			vs = variants
-		}
-		h, err := ConfigHash(c, vs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if h == base {
-			t.Errorf("%s: hash unchanged", name)
-		}
-	}
-	vary("seed", func(c *Config) []Variant { c.Seed = 8; return nil })
-	vary("requests", func(c *Config) []Variant { c.Requests = c.Requests + 1; return nil })
-	vary("temps axis", func(c *Config) []Variant { c.Temps = []float64{25}; return nil })
-	vary("device template", func(c *Config) []Variant { c.Base.TempC = 55; return nil })
-	vary("workload roster", func(c *Config) []Variant { c.Workloads = c.Workloads[:1]; return nil })
-	vary("variant roster", func(c *Config) []Variant { return variants[:3] })
-	vary("variant rename", func(c *Config) []Variant {
-		vs := append([]Variant{}, variants...)
-		vs[1].Name = "renamed"
-		return vs
-	})
 }

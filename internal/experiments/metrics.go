@@ -56,8 +56,7 @@ func writeMetricsCSVRow(w io.Writer, c Cell, withTemp, withDevice bool) error {
 // releases it — the Config.MetricsSink counterpart of CSVSink. Rows appear
 // in canonical grid order at every parallelism setting, so for the same
 // grid its output is byte-identical across runs and to the buffered
-// Result.WriteMetricsCSV — including a merged sharded run, since the retry
-// digest travels losslessly through the cell cache and shard records.
+// Result.WriteMetricsCSV.
 type MetricsCSVSink struct {
 	w      io.Writer
 	temp   bool
@@ -96,7 +95,7 @@ func (s *MetricsCSVSink) Cell(c Cell, index, total int) error {
 }
 
 // WriteMetricsCSV emits the per-cell retry-metrics CSV from a completed
-// (or merged) Result — the buffered counterpart of MetricsCSVSink, sharing
+// Result — the buffered counterpart of MetricsCSVSink, sharing
 // its header and row formatting, so both render byte-identical output for
 // the same cells. Every cell must carry a retry digest (the sweep ran with
 // Base.RetryMetrics).

@@ -87,11 +87,10 @@ type sharedTrace struct {
 // observe exactly the rows a buffered Result.WriteCSV would write while
 // the sweep is still running, and need no grid-sized buffering of their
 // own (the engine itself still materializes the returned Result). When
-// cfg.Cache is
-// set, each cell is looked up by its content address first and only
-// simulated on a miss (the measurement is stored back after simulating),
-// so re-running a grown grid simulates just the new cells and a second
-// identical run performs zero simulations.
+// cfg.Cache is set, each cell is looked up by its content address first
+// and only simulated on a miss (the measurement is stored back after
+// simulating), so re-running a grown grid simulates just the new cells and
+// a second identical run performs zero simulations.
 //
 // ctx cancels the sweep: in-flight simulations finish, queued cells are
 // abandoned, and the context's error is returned. cfg.Progress, when set,
@@ -110,34 +109,22 @@ func RunSweep(ctx context.Context, cfg Config, variants []Variant) (*Result, err
 		return res, ctx.Err()
 	}
 
-	// The full grid is the identity cell set; the resequencer restores
-	// canonical order, normalizes completed stripes, and feeds the sink.
-	indices := make([]int, g.Total())
-	for i := range indices {
-		indices[i] = i
-	}
+	// The resequencer restores canonical order, normalizes completed
+	// stripes, and feeds the sinks.
 	seq := newResequencer(res.Cells, g.Stride(), ReferenceVariant(variants), cfg.Sink, cfg.MetricsSink)
-	err = runGridCells(ctx, cfg, g, indices, func(pos, idx int, c Cell) error {
-		return seq.complete(idx, c)
-	})
-	if err != nil {
+	if err := runGridCells(ctx, cfg, g, seq.complete); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// runGridCells is the worker-pool core shared by RunSweep (the full grid)
-// and RunCells (a shard's subset): it measures the given canonical cell
-// indices and hands each completed cell to deliver with its position in
-// indices and its canonical index. deliver is called from worker
-// goroutines (each position exactly once); a non-nil error aborts the run.
-// Progress is reported against len(indices), serialized, with done
-// strictly increasing.
-func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliver func(pos, idx int, c Cell) error) error {
-	total := len(indices)
-	if total == 0 {
-		return ctx.Err()
-	}
+// runGridCells is RunSweep's worker pool: it measures every canonical cell
+// index of g and hands each completed cell to deliver with its index.
+// deliver is called from worker goroutines (each index exactly once); a
+// non-nil error aborts the run. Progress is reported against g.Total(),
+// serialized, with done strictly increasing.
+func runGridCells(ctx context.Context, cfg Config, g *Grid, deliver func(idx int, c Cell) error) error {
+	total := g.Total()
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -160,12 +147,10 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 	cellsPerWorkload := len(g.Conds) * len(g.Variants)
 	worker := func() {
 		defer wg.Done()
-		for pos := range jobs {
+		for idx := range jobs {
 			if ctx.Err() != nil {
 				return
 			}
-			idx := indices[pos]
-			wi := idx / cellsPerWorkload // the cell's shared-trace slot
 			wl, cond, v := g.CellAt(idx)
 
 			cell := Cell{Workload: wl, Cond: cond, Config: v.Name}
@@ -188,7 +173,7 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 			if !hit {
 				// Only misses need the workload's trace; a fully warm
 				// run generates none at all.
-				tr := &traces[wi]
+				tr := &traces[idx/cellsPerWorkload] // the cell's shared-trace slot
 				tr.once.Do(func() { tr.recs, tr.err = traceFor(cfg, wl) })
 				if tr.err != nil {
 					fail(tr.err)
@@ -213,7 +198,7 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 					})
 				}
 			}
-			if err := deliver(pos, idx, cell); err != nil {
+			if err := deliver(idx, cell); err != nil {
 				fail(err)
 				return
 			}
@@ -226,9 +211,9 @@ func runGridCells(ctx context.Context, cfg Config, g *Grid, indices []int, deliv
 	}
 
 feed:
-	for pos := 0; pos < total; pos++ {
+	for idx := 0; idx < total; idx++ {
 		select {
-		case jobs <- pos:
+		case jobs <- idx:
 		case <-ctx.Done():
 			break feed
 		}

@@ -19,7 +19,8 @@
 // simulation (no clocks, no randomness), all tie-breaks are by lowest
 // index, and Summary/CSV rendering uses fixed formats — so two runs of the
 // same configuration produce byte-identical metrics output, and the sweep
-// engine's metrics CSV diffs clean across repeated and sharded runs.
+// engine's metrics CSV diffs clean across repeated runs and parallelism
+// settings.
 package retrymetrics
 
 import (

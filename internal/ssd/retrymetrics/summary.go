@@ -17,10 +17,10 @@ type PageStat struct {
 
 // Summary is the fixed-size digest of a run's retry accounting — the form
 // that travels: attached to ssd.Stats for reports, embedded in the sweep
-// cache's Measurement, serialized through shard records, and rendered
-// into the per-cell metrics CSV. All fields round-trip exactly through JSON
-// (encoding/json preserves float64), so a merged sweep renders
-// byte-identical metrics rows to a single-process run.
+// cache's Measurement, and rendered into the per-cell metrics CSV. All
+// fields round-trip exactly through JSON (encoding/json preserves
+// float64), so a cached cell renders byte-identical metrics rows to a
+// freshly simulated one.
 type Summary struct {
 	PageReads    int64   `json:"page_reads"`
 	RetriedReads int64   `json:"retried_reads"`

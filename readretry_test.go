@@ -3,7 +3,6 @@ package readretry_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -111,60 +110,6 @@ func TestFacadeStreamingCachedSweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Error("cached facade re-run differs from the cold run")
-	}
-}
-
-func TestFacadeShardedSweep(t *testing.T) {
-	cfg := readretry.QuickSweepConfig()
-	cfg.Workloads = []string{"YCSB-C", "stg_0"}
-	cfg.Conditions = []readretry.SweepCondition{{PEC: 2000, Months: 6}}
-	cfg.Requests = 400
-	variants := readretry.Figure14Variants()
-
-	unsharded, err := readretry.RunSweep(context.Background(), cfg, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan, err := readretry.ShardPlan(cfg, variants, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, m := range plan.Shards {
-		if _, err := readretry.RunShard(context.Background(), cfg, variants, m, dir); err != nil {
-			t.Fatalf("shard %d: %v", m.Index, err)
-		}
-	}
-	merged, err := readretry.MergeShards(cfg, variants, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(unsharded, merged) {
-		t.Error("facade shard merge differs from the unsharded run")
-	}
-	var a, b bytes.Buffer
-	if err := unsharded.WriteCSV(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("facade shard merge CSV differs from the unsharded run")
-	}
-
-	// Merging only a subset fails with the exact gap, typed.
-	partialDir := t.TempDir()
-	if _, err := readretry.RunShard(context.Background(), cfg, variants, plan.Shards[0], partialDir); err != nil {
-		t.Fatal(err)
-	}
-	var missing *readretry.SweepMissingCellsError
-	if _, err := readretry.MergeShards(cfg, variants, partialDir, nil); !errors.As(err, &missing) {
-		t.Fatalf("partial merge returned %v, want *SweepMissingCellsError", err)
-	}
-	if want := len(plan.Shards[1].Cells) + len(plan.Shards[2].Cells); len(missing.Missing) != want {
-		t.Errorf("partial merge reports %d missing cells, want %d", len(missing.Missing), want)
 	}
 }
 

@@ -36,7 +36,7 @@ micro=$(go test . -run NONE \
   -bench 'BenchmarkReadPath|BenchmarkVthModelRead' \
   -benchtime 2s -benchmem)
 macro=$(go test . ./internal/experiments ./internal/ftl ./internal/sim ./internal/ssd ./internal/workload -run NONE \
-  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSweepSharded|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun|BenchmarkGenerate|BenchmarkCSVSink' \
+  -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun|BenchmarkGenerate|BenchmarkCSVSink' \
   -benchtime "$macrotime" -benchmem)
 raw="$micro
 $macro"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Lint gate: build and run reprolint — the determinism / durability /
-# locking invariant suite (DESIGN.md §11) — over every package, both
+# locking invariant suite (DESIGN.md §10) — over every package, both
 # standalone and through go vet's -vettool driver, then run govulncheck
 # when the toolchain has it. Exits non-zero on any finding, so CI (and a
 # pre-push hook) can use it as a single yes/no.
