@@ -41,8 +41,12 @@ import (
 	"readretry/internal/workload"
 )
 
+// experimentNames are the -only values that select an experiment.
+var experimentNames = []string{"table1", "table2", "fig4b", "fig5", "fig6", "fig7", "fig8",
+	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "ext"}
+
 var (
-	only     = flag.String("only", "all", "experiment to run: table1, table2, fig4b, fig5, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, or all")
+	only     = flag.String("only", "all", "experiment to run: "+strings.Join(experimentNames, ", ")+", or all (case-insensitive)")
 	quick    = flag.Bool("quick", false, "reduced Figure 14/15 sweeps")
 	samples  = flag.Int("samples", 8000, "characterization sample reads per condition")
 	seed     = flag.Uint64("seed", 1, "process-variation seed")
@@ -201,7 +205,18 @@ func sweepProgress(name string) func(done, total int) {
 }
 
 func want(name string) bool {
-	return *only == "all" || strings.EqualFold(*only, name)
+	return strings.EqualFold(*only, "all") || strings.EqualFold(*only, name)
+}
+
+// checkOnly rejects an -only value that selects no experiment, so a typo
+// fails instead of printing nothing.
+func checkOnly() error {
+	for _, name := range experimentNames {
+		if want(name) {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -only %q: want one of %s, or all", *only, strings.Join(experimentNames, ", "))
 }
 
 // runSweepFigure runs one Figure 14/15 sweep, streaming its cells to the
@@ -239,6 +254,10 @@ func header(s string) {
 
 func main() {
 	flag.Parse()
+	if err := checkOnly(); err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(2)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

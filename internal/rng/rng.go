@@ -6,11 +6,20 @@
 // Reproducibility is a hard requirement for the experiment harness: every
 // figure in EXPERIMENTS.md must regenerate bit-identically from a seed, so
 // the package does not use math/rand's global state anywhere.
+//
+// The package keeps one piece of process-wide state, and it is not random:
+// the running sums of i^-θ behind every Zipf sampler's ζ(n, θ) normaliser.
+// They are kept once per θ, grown on demand to at most 2^20 entries of
+// 8 bytes (8 MiB), and shared by every NewZipf. Entry k-1 is the left-to-right
+// sum of the first k terms, which is exactly the partial sum a direct loop
+// reaches after k terms, so ζ is bit-identical to summing it afresh, whoever
+// extended the table and in whatever order.
 package rng
 
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // State is the bare xoshiro256++ state as a value type. It backs Source and
@@ -259,25 +268,62 @@ func NewZipf(n int64, theta float64) *Zipf {
 	return z
 }
 
+// maxExact caps the exactly summed part of ζ(n, θ); beyond it zeta adds
+// the Euler–Maclaurin integral tail. For the population sizes the workloads
+// use (≤ 2^28) the approximation error is far below sampling noise.
+const maxExact = 1 << 20
+
+// zeta returns ζ(n, θ) = Σ_{i=1..n} i^-θ: the exact running sum from the
+// shared table up to maxExact, then the integral tail.
 func zeta(n int64, theta float64) float64 {
-	// Exact summation up to a cap, then the Euler–Maclaurin integral tail;
-	// for the population sizes the workloads use (≤ 2^28) the approximation
-	// error is far below sampling noise.
-	const maxExact = 1 << 20
-	sum := 0.0
 	limit := n
 	if limit > maxExact {
 		limit = maxExact
 	}
-	for i := int64(1); i <= limit; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
-	}
+	sum := zetaSums.prefix(limit, theta)
 	if n > limit {
 		// ∫_{limit}^{n} x^-theta dx
 		a := 1 - theta
 		sum += (math.Pow(float64(n), a) - math.Pow(float64(limit), a)) / a
 	}
 	return sum
+}
+
+// zetaTable holds, per θ, the running sums of i^-θ that the package doc
+// describes: entry k-1 is Σ_{i=1..k} i^-θ, added left to right, and each θ
+// grows on demand to at most maxExact entries.
+type zetaTable struct {
+	mu   sync.Mutex
+	sums map[uint64][]float64 // guarded by mu; keyed by math.Float64bits(θ)
+}
+
+var zetaSums = zetaTable{sums: make(map[uint64][]float64)}
+
+// prefix returns Σ_{i=1..k} i^-θ for 1 ≤ k ≤ maxExact, extending θ's
+// running sums to k entries first if they are shorter.
+func (t *zetaTable) prefix(k int64, theta float64) float64 {
+	key := math.Float64bits(theta)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.sums[key]
+	if int64(len(s)) < k {
+		if int64(cap(s)) < k {
+			// Double rather than grow to exactly k, so ascending requests
+			// copy O(maxExact) in total; never beyond maxExact.
+			c := max(k, min(2*int64(cap(s)), maxExact))
+			s = append(make([]float64, 0, c), s...)
+		}
+		sum := 0.0
+		if len(s) > 0 {
+			sum = s[len(s)-1]
+		}
+		for i := int64(len(s)) + 1; i <= k; i++ {
+			sum += 1 / math.Pow(float64(i), theta)
+			s = append(s, sum)
+		}
+		t.sums[key] = s
+	}
+	return s[k-1]
 }
 
 // N returns the population size.

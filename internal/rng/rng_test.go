@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -240,6 +241,116 @@ func TestZipfSkewAndBounds(t *testing.T) {
 	}
 	if frac := float64(top10) / n; frac < 0.3 {
 		t.Errorf("top-10 fraction = %v, want > 0.3", frac)
+	}
+}
+
+// directZeta is the oracle for the shared table: ζ(n, θ) summed by a
+// direct left-to-right loop up to maxExact, plus the same integral tail.
+func directZeta(n int64, theta float64) float64 {
+	sum := 0.0
+	limit := min(n, maxExact)
+	for i := int64(1); i <= limit; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	if n > limit {
+		a := 1 - theta
+		sum += (math.Pow(float64(n), a) - math.Pow(float64(limit), a)) / a
+	}
+	return sum
+}
+
+// resetZetaTable empties the process-wide table, so a test sees it grow
+// from nothing in the order the test requests.
+func resetZetaTable() {
+	zetaSums.mu.Lock()
+	defer zetaSums.mu.Unlock()
+	zetaSums.sums = make(map[uint64][]float64)
+}
+
+// zetaSizes are the population sizes the table must serve: tiny ones, the
+// cold and hot regions of YCSB-C and stg_0 on the experiment device
+// (footprint 707,788 pages), both sides of the exact-sum cap, and a
+// population far past it.
+var zetaSizes = []int64{1, 2, 3, 1000, 268959, 283116, 424672, 438829,
+	1<<20 - 1, 1 << 20, 1<<20 + 1, 1 << 28}
+
+func TestZetaTableMatchesDirectSum(t *testing.T) {
+	asc := append([]int64(nil), zetaSizes...)
+	desc := make([]int64, len(asc))
+	for i, n := range asc {
+		desc[len(asc)-1-i] = n
+	}
+	// Alternate the smallest and largest remaining sizes.
+	var inter []int64
+	for lo, hi := 0, len(asc)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		inter = append(inter, asc[lo])
+		if lo != hi {
+			inter = append(inter, asc[hi])
+		}
+	}
+	t.Cleanup(resetZetaTable)
+	for _, theta := range []float64{0.5, 0.9, 0.99} {
+		want := make(map[int64]uint64, len(asc))
+		for _, n := range asc {
+			want[n] = math.Float64bits(directZeta(n, theta))
+		}
+		for _, order := range []struct {
+			name  string
+			sizes []int64
+		}{{"ascending", asc}, {"descending", desc}, {"interleaved", inter}} {
+			resetZetaTable()
+			for _, n := range order.sizes {
+				if got := math.Float64bits(zeta(n, theta)); got != want[n] {
+					t.Errorf("θ=%v %s: zeta(%d) = %v, direct sum %v", theta, order.name,
+						n, math.Float64frombits(got), math.Float64frombits(want[n]))
+				}
+			}
+			zetaSums.mu.Lock()
+			s := zetaSums.sums[math.Float64bits(theta)]
+			zetaSums.mu.Unlock()
+			if len(s) != maxExact || cap(s) != maxExact {
+				t.Errorf("θ=%v %s: table len %d cap %d, want both %d", theta, order.name,
+					len(s), cap(s), maxExact)
+			}
+		}
+	}
+}
+
+// TestZetaTableConcurrent has goroutines extend and read one θ's table at
+// different n at once; every result must still equal the direct sum.
+func TestZetaTableConcurrent(t *testing.T) {
+	const theta = 0.99
+	want := make([]uint64, len(zetaSizes))
+	for i, n := range zetaSizes {
+		want[i] = math.Float64bits(directZeta(n, theta))
+	}
+	resetZetaTable()
+	t.Cleanup(resetZetaTable)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range zetaSizes {
+				i := (j + 3*g) % len(zetaSizes)
+				if got := math.Float64bits(zeta(zetaSizes[i], theta)); got != want[i] {
+					t.Errorf("goroutine %d: zeta(%d) = %v, direct sum %v", g, zetaSizes[i],
+						math.Float64frombits(got), math.Float64frombits(want[i]))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkNewZipf builds the sampler of YCSB-C's hot region on the
+// experiment device, as every trace generation does.
+func BenchmarkNewZipf(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if z := NewZipf(283116, 0.99); z.N() != 283116 {
+			b.Fatalf("N() = %d", z.N())
+		}
 	}
 }
 

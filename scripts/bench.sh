@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# bench.sh — run the read-path, sweep, preconditioning, ssd.New,
-# event-engine, ssd.Run, workload-generation and CSV-sink benchmarks and
+# bench.sh — run the read-path, sweep, preconditioning, ssd.New, Zipf
+# set-up, event-engine, ssd.Run, workload-generation and CSV-sink benchmarks and
 # record the results as JSON, starting the repository's performance
 # trajectory.
 #
@@ -35,7 +35,7 @@ macrotime="${2:-5x}"
 micro=$(go test . -run NONE \
   -bench 'BenchmarkReadPath|BenchmarkVthModelRead' \
   -benchtime 2s -benchmem)
-macro=$(go test . ./internal/experiments ./internal/ftl ./internal/sim ./internal/ssd ./internal/workload -run NONE \
+macro=$(go test . ./internal/experiments ./internal/ftl ./internal/rng ./internal/sim ./internal/ssd ./internal/workload -run NONE \
   -bench 'BenchmarkSweepCell|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepTemperatureGrid|BenchmarkSweepQLCGrid|BenchmarkSSDSimulationThroughput|BenchmarkPrecondition|BenchmarkNew|BenchmarkEngine|BenchmarkRun|BenchmarkGenerate|BenchmarkCSVSink' \
   -benchtime "$macrotime" -benchmem)
 raw="$micro
